@@ -31,7 +31,7 @@
 //! bit-identical across scheduler modes and across repeats of a seed.
 
 use nw_types::NodeId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Deterministic retry/timeout policy for synchronous calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +71,9 @@ impl RetryPolicy {
 /// One in-flight synchronous call tracked for retry.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingCall {
-    /// Cycle the current attempt times out.
-    pub deadline: u64,
+    /// Cycle the current attempt times out. Private to this module: it is
+    /// mirrored in the deadline index, so only `open`/`bump` may set it.
+    deadline: u64,
     /// Attempts issued so far minus one (0 = first issue outstanding).
     pub attempt: u8,
     /// Token stamped on the current attempt's tag.
@@ -105,6 +106,9 @@ pub(crate) struct ResilienceState {
     /// Pending synchronous calls keyed `(pe, tid)` — BTreeMap so due-scan
     /// order is deterministic.
     pending: BTreeMap<(usize, usize), PendingCall>,
+    /// `(deadline, pe, tid)` of every pending entry: the earliest deadline
+    /// and the due prefix without scanning `pending`.
+    by_deadline: BTreeSet<(u64, usize, usize)>,
     /// Per-thread token counter; bumps on every open so replies from an
     /// abandoned call can never correlate with a later one.
     salts: BTreeMap<(usize, usize), u8>,
@@ -115,6 +119,7 @@ impl ResilienceState {
         ResilienceState {
             policy,
             pending: BTreeMap::new(),
+            by_deadline: BTreeSet::new(),
             salts: BTreeMap::new(),
         }
     }
@@ -133,17 +138,19 @@ impl ResilienceState {
         let salt = self.salts.entry((pe, tid)).or_insert(0);
         *salt = salt.wrapping_add(1);
         let token = *salt;
-        self.pending.insert(
-            (pe, tid),
-            PendingCall {
-                deadline: now + self.policy.window(0),
-                attempt: 0,
-                token,
-                dst,
-                reply_bytes,
-                data,
-            },
-        );
+        let deadline = now + self.policy.window(0);
+        let call = PendingCall {
+            deadline,
+            attempt: 0,
+            token,
+            dst,
+            reply_bytes,
+            data,
+        };
+        if let Some(old) = self.pending.insert((pe, tid), call) {
+            self.by_deadline.remove(&(old.deadline, pe, tid));
+        }
+        self.by_deadline.insert((deadline, pe, tid));
         token
     }
 
@@ -156,9 +163,11 @@ impl ResilienceState {
         let token = *salt;
         let policy = self.policy;
         if let Some(e) = self.pending.get_mut(&(pe, tid)) {
+            self.by_deadline.remove(&(e.deadline, pe, tid));
             e.attempt = e.attempt.saturating_add(1);
             e.token = token;
             e.deadline = now + policy.window(e.attempt);
+            self.by_deadline.insert((e.deadline, pe, tid));
         }
     }
 
@@ -166,21 +175,24 @@ impl ResilienceState {
     pub fn close(&mut self, pe: usize, tid: usize, token: u8) -> CloseOutcome {
         match self.pending.get(&(pe, tid)) {
             Some(entry) if entry.token == token => {
-                let entry = self.pending.remove(&(pe, tid)).expect("entry just matched");
-                CloseOutcome::Live(entry.data)
+                let data = self.abandon(pe, tid).expect("entry just matched");
+                CloseOutcome::Live(data)
             }
             Some(_) => CloseOutcome::Stale,
             None => CloseOutcome::Unknown,
         }
     }
 
-    /// Keys whose deadline has fired at `now`, in deterministic order.
+    /// Keys whose deadline has fired at `now`, in `(pe, tid)` order.
     pub fn due_keys(&self, now: u64) -> Vec<(usize, usize)> {
-        self.pending
+        let mut due: Vec<_> = self
+            .by_deadline
             .iter()
-            .filter(|(_, e)| e.deadline <= now)
-            .map(|(&k, _)| k)
-            .collect()
+            .take_while(|&&(deadline, _, _)| deadline <= now)
+            .map(|&(_, pe, tid)| (pe, tid))
+            .collect();
+        due.sort_unstable();
+        due
     }
 
     pub fn get_mut(&mut self, pe: usize, tid: usize) -> Option<&mut PendingCall> {
@@ -189,7 +201,9 @@ impl ResilienceState {
 
     /// Removes an entry (give-up, crash), returning its payload.
     pub fn abandon(&mut self, pe: usize, tid: usize) -> Option<Vec<u8>> {
-        self.pending.remove(&(pe, tid)).map(|e| e.data)
+        let e = self.pending.remove(&(pe, tid))?;
+        self.by_deadline.remove(&(e.deadline, pe, tid));
+        Some(e.data)
     }
 
     /// Drops every entry of PE `pe` (crash), returning the payloads.
@@ -200,14 +214,14 @@ impl ResilienceState {
             .map(|(&k, _)| k)
             .collect();
         keys.into_iter()
-            .filter_map(|k| self.pending.remove(&k).map(|e| e.data))
+            .filter_map(|(pe, tid)| self.abandon(pe, tid))
             .collect()
     }
 
     /// The earliest pending deadline — folded into the scheduler
     /// fast-forward paths so a quiet span never skips a timeout.
     pub fn earliest_deadline(&self) -> Option<u64> {
-        self.pending.values().map(|e| e.deadline).min()
+        self.by_deadline.first().map(|&(deadline, _, _)| deadline)
     }
 
     /// Pending entries (observability/tests).
@@ -303,6 +317,52 @@ mod tests {
         assert_eq!(dropped, vec![vec![1], vec![2]]);
         assert_eq!(rs.pending_len(), 1);
         assert_eq!(rs.earliest_deadline(), Some(10));
+    }
+
+    #[test]
+    fn deadline_index_matches_brute_force() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rs = ResilienceState::new(RetryPolicy {
+                timeout: 16,
+                max_attempts: 4,
+            });
+            let mut now = 0u64;
+            for _ in 0..400 {
+                now += rng.gen_range(0..8u64);
+                let (pe, tid) = (rng.gen_range(0..4usize), rng.gen_range(0..3usize));
+                match rng.gen_range(0..10u32) {
+                    0..=3 => {
+                        rs.open(pe, tid, NodeId(1), 8, vec![1], now);
+                    }
+                    4..=5 => rs.bump(pe, tid, now),
+                    6 => {
+                        let token = rs.pending.get(&(pe, tid)).map_or(0, |e| e.token);
+                        rs.close(pe, tid, token);
+                    }
+                    7..=8 => {
+                        rs.abandon(pe, tid);
+                    }
+                    _ => {
+                        rs.abandon_pe(pe);
+                    }
+                }
+                let min = rs.pending.values().map(|e| e.deadline).min();
+                assert_eq!(rs.earliest_deadline(), min, "seed {seed} at {now}");
+                assert_eq!(rs.by_deadline.len(), rs.pending.len());
+                for probe in [now, now + 20, now + 100] {
+                    let due: Vec<_> = rs
+                        .pending
+                        .iter()
+                        .filter(|(_, e)| e.deadline <= probe)
+                        .map(|(&k, _)| k)
+                        .collect();
+                    assert_eq!(rs.due_keys(probe), due, "seed {seed} probe {probe}");
+                }
+            }
+        }
     }
 
     #[test]

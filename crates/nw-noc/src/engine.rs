@@ -21,7 +21,7 @@ use crate::topology::Topology;
 use nw_obs::{LinkLoad, NocHeatmap, RouterLoad, TraceEvent, TraceSink};
 use nw_sim::{Clocked, Counter, EventQueue, Histogram};
 use nw_types::{Cycles, NodeId};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Tuning knobs of the NoC timing model.
@@ -97,6 +97,49 @@ struct RouterState {
     /// per-cycle transmit scan can skip quiescent routers without walking
     /// their ports (the dominant cost on large, mostly idle fabrics).
     queued: usize,
+}
+
+/// A set of router indices popped lowest-first: one bit per router,
+/// walked by `trailing_zeros`. Sized once for the fabric, so inserts and
+/// pops never allocate.
+#[derive(Debug, Clone, Default)]
+struct RouterSet {
+    words: Vec<u64>,
+    /// Lowest word that may hold a set bit (`words.len()` when empty).
+    low: usize,
+}
+
+impl RouterSet {
+    fn new(n_routers: usize) -> Self {
+        let words = vec![0; n_routers.div_ceil(64)];
+        RouterSet {
+            low: words.len(),
+            words,
+        }
+    }
+
+    fn insert(&mut self, r: usize) {
+        let w = r / 64;
+        self.words[w] |= 1 << (r % 64);
+        self.low = self.low.min(w);
+    }
+
+    fn pop_first(&mut self) -> Option<usize> {
+        while let Some(word) = self.words.get_mut(self.low) {
+            if *word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(self.low * 64 + bit);
+            }
+            self.low += 1;
+        }
+        None
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.low = self.words.len();
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -224,10 +267,10 @@ pub struct Noc {
     /// When a buffer slot frees at `r` (credit appears), these are the
     /// routers whose blocked output ports may become able to fire.
     preds: Vec<Vec<usize>>,
-    /// Scratch worklist of routers to visit this transmit pass, ordered by
-    /// router index so credit contention resolves exactly as the dense
-    /// ascending scan does. Kept allocated across ticks.
-    ready: BTreeSet<usize>,
+    /// Scratch worklist of routers to visit this transmit pass, popped by
+    /// ascending router index so credit contention resolves exactly as the
+    /// dense ascending scan does. Kept allocated across ticks.
+    ready: RouterSet,
     /// Whether endpoint `r`'s NI head can make progress right now (local
     /// destination, or remote with the bubble-rule two free slots).
     ni_ready: Vec<bool>,
@@ -314,7 +357,7 @@ impl Noc {
             wakes: EventQueue::new(),
             wake_at: vec![u64::MAX; n_routers],
             preds,
-            ready: BTreeSet::new(),
+            ready: RouterSet::new(n_routers),
             ni_ready: vec![false; n_endpoints],
             ni_ready_count: 0,
             obs: None,
@@ -933,7 +976,7 @@ impl Noc {
         r: usize,
         p: usize,
         now: Cycles,
-        pass: &mut BTreeSet<usize>,
+        pass: &mut RouterSet,
         sink: &mut Option<&mut (dyn TraceSink + '_)>,
     ) {
         debug_assert!(self.routers[r].queued > 0, "fire on a quiescent router");
@@ -1005,7 +1048,7 @@ impl Noc {
         &mut self,
         r: usize,
         now: Cycles,
-        pass: &mut BTreeSet<usize>,
+        pass: &mut RouterSet,
         sink: &mut Option<&mut (dyn TraceSink + '_)>,
     ) {
         if self.routers[r].queued == 0 {
@@ -1186,6 +1229,38 @@ mod tests {
             now += Cycles(1);
             assert!(now.0 < limit, "packet not delivered within {limit} cycles");
         }
+    }
+
+    #[test]
+    fn router_set_pops_ascending_with_same_pass_inserts() {
+        let mut set = RouterSet::new(130);
+        for r in [129, 3, 64, 0, 70] {
+            set.insert(r);
+        }
+        let mut popped = Vec::new();
+        while let Some(r) = set.pop_first() {
+            popped.push(r);
+            // A fire at `r` wakes predecessors above it into this pass.
+            match r {
+                3 => {
+                    set.insert(65);
+                    set.insert(4);
+                }
+                70 => set.insert(128),
+                _ => {}
+            }
+        }
+        assert_eq!(popped, vec![0, 3, 4, 64, 65, 70, 128, 129]);
+        set.insert(5);
+        set.insert(5);
+        assert_eq!(set.pop_first(), Some(5), "inserts are idempotent");
+        assert_eq!(set.pop_first(), None);
+        set.insert(127);
+        set.insert(1);
+        set.clear();
+        assert_eq!(set.pop_first(), None);
+        set.insert(2);
+        assert_eq!(set.pop_first(), Some(2), "usable again after clear");
     }
 
     #[test]

@@ -127,8 +127,21 @@ struct Thread {
     state: ThreadState,
     program: Option<Program>,
     pc: usize,
-    occupancy: Utilization,
-    busy: Utilization,
+    /// Occupied cycles of spans already closed by a return to `Idle`.
+    occ_busy: u64,
+    /// `accounted_to` when the thread last left `Idle`: while it holds a
+    /// task, `[occ_since, accounted_to)` is its open occupied span.
+    occ_since: u64,
+}
+
+impl Thread {
+    /// Occupied cycles up to `accounted_to`, the open span included.
+    fn occupied(&self, accounted_to: u64) -> u64 {
+        match self.state {
+            ThreadState::Idle => self.occ_busy,
+            _ => self.occ_busy + (accounted_to - self.occ_since),
+        }
+    }
 }
 
 /// Aggregate statistics of one PE.
@@ -171,8 +184,14 @@ pub struct Pe {
     /// An active-set scheduler may skip ticking a dormant PE (every thread
     /// `Idle` or `AwaitingCompletion`); the skipped cycles are settled in
     /// bulk — with identical counter arithmetic — on the next tick or via
-    /// [`Pe::settle_accounting`].
+    /// [`Pe::settle_accounting`]. Thread occupancy needs no per-cycle work:
+    /// it is settled against this cycle at each `Idle` transition.
     accounted_to: u64,
+    /// Threads in `Idle`, kept at every state transition.
+    n_idle: usize,
+    /// Threads `Ready`, `Computing` or in a `ScratchpadStall` — the ones a
+    /// tick can advance — kept at every state transition.
+    n_live: usize,
     /// Threads retired since the last [`Pe::take_retired`], recorded only
     /// when enabled via [`Pe::set_retire_log`] (tracing). `None` keeps the
     /// retire path allocation-free when no one is watching.
@@ -192,11 +211,13 @@ impl Pe {
                 state: ThreadState::Idle,
                 program: None,
                 pc: 0,
-                occupancy: Utilization::new(),
-                busy: Utilization::new(),
+                occ_busy: 0,
+                occ_since: 0,
             })
             .collect();
         Pe {
+            n_idle: cfg.n_threads,
+            n_live: 0,
             cfg,
             threads,
             current: 0,
@@ -247,10 +268,7 @@ impl Pe {
         if self.crashed {
             return 0;
         }
-        self.threads
-            .iter()
-            .filter(|t| matches!(t.state, ThreadState::Idle))
-            .count()
+        self.n_idle
     }
 
     /// Assigns a task to the lowest-numbered idle context.
@@ -260,7 +278,7 @@ impl Pe {
     /// Returns [`SpawnError`] when every context is occupied — the caller
     /// (the DSOC dispatcher) should queue the invocation and retry.
     pub fn spawn(&mut self, program: Program) -> Result<ThreadId, SpawnError> {
-        if self.crashed {
+        if self.crashed || self.n_idle == 0 {
             return Err(SpawnError);
         }
         let slot = self
@@ -268,19 +286,18 @@ impl Pe {
             .iter()
             .position(|t| matches!(t.state, ThreadState::Idle))
             .ok_or(SpawnError)?;
-        let t = &mut self.threads[slot];
-        t.state = if program.is_empty() {
-            // Degenerate empty task: completes immediately.
-            ThreadState::Idle
-        } else {
-            ThreadState::Ready
-        };
         if program.is_empty() {
+            // Degenerate empty task: completes immediately.
             self.tasks_completed += 1;
             return Ok(ThreadId(slot));
         }
+        let t = &mut self.threads[slot];
+        t.state = ThreadState::Ready;
+        t.occ_since = self.accounted_to;
         t.program = Some(program);
         t.pc = 0;
+        self.n_idle -= 1;
+        self.n_live += 1;
         Ok(ThreadId(slot))
     }
 
@@ -298,6 +315,7 @@ impl Pe {
             "complete() on {tid} which is not awaiting completion"
         );
         t.state = ThreadState::Ready;
+        self.n_live += 1;
     }
 
     /// Whether thread `tid` is stalled awaiting a platform completion.
@@ -334,12 +352,14 @@ impl Pe {
                 }
             }
         }
+        let accounted_to = self.accounted_to;
         for t in &mut self.threads {
+            t.occ_busy = t.occupied(accounted_to);
             t.state = ThreadState::Idle;
             let pc = std::mem::take(&mut t.pc);
             if let Some(prog) = t.program.take() {
                 // Only ops the thread never issued: an executed Send/Call
-                // already cloned its payload into the request stream, where
+                // already moved its payload into the request stream, where
                 // normal wire-side recycling (or the request drain above)
                 // accounts for it — harvesting the program's copy too
                 // would over-return to the pool.
@@ -351,6 +371,8 @@ impl Pe {
                 }
             }
         }
+        self.n_idle = self.threads.len();
+        self.n_live = 0;
         harvested
     }
 
@@ -382,21 +404,14 @@ impl Pe {
     /// scheduler may skip it and settle the skipped cycles in bulk with
     /// [`Pe::settle_accounting`] — the counters come out bit-identical.
     pub fn is_live(&self) -> bool {
-        self.swap_remaining > 0
-            || self.threads.iter().any(|t| {
-                matches!(
-                    t.state,
-                    ThreadState::Ready
-                        | ThreadState::Computing { .. }
-                        | ThreadState::ScratchpadStall { .. }
-                )
-            })
+        self.swap_remaining > 0 || self.n_live > 0
     }
 
     /// Applies busy/idle accounting for all unaccounted cycles before `now`,
     /// assuming the PE was dormant (not [`Pe::is_live`]) for that span: each
-    /// skipped cycle counts occupancy for non-idle threads and an idle issue
-    /// slot, exactly as the per-cycle tick would have.
+    /// skipped cycle counts an idle issue slot, and occupancy for every
+    /// non-idle thread (their open spans simply extend), exactly as the
+    /// per-cycle tick would have.
     ///
     /// Callers must settle **before** mutating thread state at `now` (e.g.
     /// before `spawn`), so the gap is accounted with the state that actually
@@ -405,16 +420,7 @@ impl Pe {
         if now.0 <= self.accounted_to {
             return;
         }
-        let n = now.0 - self.accounted_to;
-        for t in &mut self.threads {
-            if matches!(t.state, ThreadState::Idle) {
-                t.occupancy.idle_n(n);
-            } else {
-                t.occupancy.busy_n(n);
-            }
-            t.busy.idle_n(n);
-        }
-        self.core.idle_n(n);
+        self.core.idle_n(now.0 - self.accounted_to);
         self.accounted_to = now.0;
     }
 
@@ -431,7 +437,10 @@ impl Pe {
             thread_occupancy: self
                 .threads
                 .iter()
-                .map(|t| t.occupancy.fraction())
+                .map(|t| match self.accounted_to {
+                    0 => 0.0,
+                    total => t.occupied(total) as f64 / total as f64,
+                })
                 .collect(),
             tasks_completed: self.tasks_completed,
             energy: Picojoules(self.mem_energy.0 + issue_energy),
@@ -456,7 +465,8 @@ impl Pe {
     /// Used with [`Pe::advance_quiet`] by the platform's active-set
     /// scheduler to fast-forward busy (not merely idle) spans.
     pub fn quiet_span(&self, now: Cycles) -> Option<u64> {
-        if self.swap_remaining > 0 || !self.requests.is_empty() {
+        if self.swap_remaining > 0 || !self.requests.is_empty() || self.n_live == 0 {
+            // Fully dormant PEs take the caller's lazy settle path instead.
             return None;
         }
         if self.cfg.policy == SchedPolicy::SwitchOnStall {
@@ -476,19 +486,15 @@ impl Pe {
                 _ => return None,
             }
         }
-        if earliest == u64::MAX {
-            // Fully dormant — the caller's lazy settle path covers this.
-            return None;
-        }
-        Some(earliest - now.0)
+        (earliest < u64::MAX).then(|| earliest - now.0)
     }
 
     /// Bulk-applies `k` cycles of the span promised by [`Pe::quiet_span`]
     /// — counter arithmetic identical to `k` per-cycle ticks. A compute
-    /// burst decrements with the core issuing busy and the current thread
-    /// running; a whole-PE stall accrues idle issue slots with occupancy
-    /// for every non-idle context (the same arithmetic as
-    /// [`Pe::settle_accounting`]).
+    /// burst decrements with the core issuing busy; a whole-PE stall
+    /// accrues idle issue slots (the same arithmetic as
+    /// [`Pe::settle_accounting`]). No thread changes state, so occupancy
+    /// spans just extend with `accounted_to`.
     ///
     /// # Panics
     ///
@@ -497,41 +503,18 @@ impl Pe {
         if k == 0 {
             return;
         }
-        let cur = self.current;
+        self.accounted_to += k;
         if self.cfg.policy == SchedPolicy::SwitchOnStall {
-            if let ThreadState::Computing { remaining } = self.threads[cur].state {
-                debug_assert!(remaining > k, "advance_quiet beyond the compute burst");
-                self.threads[cur].state = ThreadState::Computing {
-                    remaining: remaining - k,
-                };
-                for (j, t) in self.threads.iter_mut().enumerate() {
-                    if matches!(t.state, ThreadState::Idle) {
-                        t.occupancy.idle_n(k);
-                    } else {
-                        t.occupancy.busy_n(k);
-                    }
-                    if j == cur {
-                        t.busy.busy_n(k);
-                    } else {
-                        t.busy.idle_n(k);
-                    }
-                }
+            let cur = &mut self.threads[self.current].state;
+            if let ThreadState::Computing { remaining } = cur {
+                debug_assert!(*remaining > k, "advance_quiet beyond the compute burst");
+                *remaining -= k;
                 self.core.busy_n(k);
-                self.accounted_to += k;
                 return;
             }
         }
         // Whole-PE stall: no issue slot fires during the span.
-        for t in &mut self.threads {
-            if matches!(t.state, ThreadState::Idle) {
-                t.occupancy.idle_n(k);
-            } else {
-                t.occupancy.busy_n(k);
-            }
-            t.busy.idle_n(k);
-        }
         self.core.idle_n(k);
-        self.accounted_to += k;
     }
 
     fn thread_is_runnable(&self, i: usize, now: Cycles) -> bool {
@@ -542,12 +525,24 @@ impl Pe {
         }
     }
 
-    /// Picks the next runnable context after `from` in round-robin order.
+    /// Picks the next runnable context after `from` in round-robin order;
+    /// the scan ends at `from` itself.
     fn next_runnable(&self, from: usize, now: Cycles) -> Option<usize> {
+        if self.n_live == 0 {
+            return None;
+        }
         let n = self.threads.len();
-        (1..=n)
-            .map(|k| (from + k) % n)
-            .find(|&i| self.thread_is_runnable(i, now))
+        let mut i = from;
+        for _ in 0..n {
+            i += 1;
+            if i == n {
+                i = 0;
+            }
+            if self.thread_is_runnable(i, now) {
+                return Some(i);
+            }
+        }
+        None
     }
 
     /// Executes one issue slot of thread `i`. Returns true if work was done.
@@ -581,10 +576,10 @@ impl Pe {
     /// consumed.
     fn issue(&mut self, i: usize, now: Cycles) -> bool {
         let (op, domain) = {
-            let t = &self.threads[i];
-            let prog = t.program.as_ref().expect("ready thread has a program");
-            match prog.op(t.pc) {
-                Some(op) => (op.clone(), prog.domain()),
+            let t = &mut self.threads[i];
+            let prog = t.program.as_mut().expect("ready thread has a program");
+            match prog.take_op(t.pc) {
+                Some(op) => (op, prog.domain()),
                 None => {
                     // Program exhausted: retire the task.
                     self.retire(i);
@@ -627,6 +622,7 @@ impl Pe {
                     },
                 ));
                 self.threads[i].state = ThreadState::AwaitingCompletion;
+                self.n_live -= 1;
                 self.advance_pc(i);
             }
             Op::Call {
@@ -645,6 +641,7 @@ impl Pe {
                     },
                 ));
                 self.threads[i].state = ThreadState::AwaitingCompletion;
+                self.n_live -= 1;
                 self.advance_pc(i);
             }
         }
@@ -664,39 +661,26 @@ impl Pe {
     }
 
     fn retire(&mut self, i: usize) {
-        self.threads[i].state = ThreadState::Idle;
-        self.threads[i].program = None;
-        self.threads[i].pc = 0;
+        let t = &mut self.threads[i];
+        t.occ_busy = t.occupied(self.accounted_to);
+        t.state = ThreadState::Idle;
+        t.program = None;
+        t.pc = 0;
+        self.n_idle += 1;
+        self.n_live -= 1;
         self.tasks_completed += 1;
         if let Some(log) = self.retire_log.as_mut() {
             log.push(ThreadId(i));
         }
     }
-}
 
-impl Clocked for Pe {
-    fn tick(&mut self, now: Cycles) {
-        // Settle any cycles skipped by an active-set scheduler, then mark
-        // this cycle accounted (the body below does its accounting inline).
-        self.settle_accounting(now);
-        self.accounted_to = now.0 + 1;
-
-        // Occupancy accounting for every context.
-        for t in &mut self.threads {
-            if matches!(t.state, ThreadState::Idle) {
-                t.occupancy.idle();
-            } else {
-                t.occupancy.busy();
-            }
-        }
-
+    /// One issue slot at `now`; the accounting for skipped cycles and for
+    /// thread occupancy happens outside it.
+    fn step(&mut self, now: Cycles) {
         // Mid context switch: the core is stalled.
         if self.swap_remaining > 0 {
             self.swap_remaining -= 1;
             self.core.idle();
-            for t in &mut self.threads {
-                t.busy.idle();
-            }
             return;
         }
 
@@ -712,9 +696,6 @@ impl Clocked for Pe {
                         // The swap consumes this cycle (and possibly more).
                         self.swap_remaining = self.cfg.swap_penalty - 1;
                         self.core.idle();
-                        for t in &mut self.threads {
-                            t.busy.idle();
-                        }
                         return;
                     }
                     Some(next)
@@ -723,16 +704,9 @@ impl Clocked for Pe {
                 }
             }
             SchedPolicy::RoundRobin => {
-                let next = if self.thread_is_runnable(self.current, now)
-                    || self.next_runnable(self.current, now).is_some()
-                {
-                    // Rotate every cycle among runnable contexts.
-                    self.next_runnable(self.current, now)
-                        .filter(|_| true)
-                        .or(Some(self.current))
-                } else {
-                    None
-                };
+                // Rotate every cycle among runnable contexts; the scan ends
+                // at `current`, so a lone runnable context keeps issuing.
+                let next = self.next_runnable(self.current, now);
                 if let Some(n) = next {
                     self.current = n;
                 }
@@ -740,23 +714,60 @@ impl Clocked for Pe {
             }
         };
 
-        let mut worked = false;
-        if let Some(i) = issuing {
-            worked = self.run_thread(i, now);
-        }
-        if worked {
-            // Issue energy is derived from the busy counter in `stats()`.
+        // Issue energy is derived from the busy counter in `stats()`.
+        if issuing.is_some_and(|i| self.run_thread(i, now)) {
             self.core.busy();
         } else {
             self.core.idle();
         }
-        for (j, t) in self.threads.iter_mut().enumerate() {
-            if worked && issuing == Some(j) {
-                t.busy.busy();
-            } else {
-                t.busy.idle();
-            }
+    }
+
+    /// Recounts `(idle, live)` threads from their states — the ground
+    /// truth the transition-kept `n_idle`/`n_live` must match.
+    #[cfg(any(test, debug_assertions))]
+    fn recount(&self) -> (usize, usize) {
+        let idle = self
+            .threads
+            .iter()
+            .filter(|t| matches!(t.state, ThreadState::Idle))
+            .count();
+        let waiting = self
+            .threads
+            .iter()
+            .filter(|t| matches!(t.state, ThreadState::AwaitingCompletion))
+            .count();
+        (idle, self.threads.len() - idle - waiting)
+    }
+
+    /// Debug-build audit of the transition-kept bookkeeping against the
+    /// thread states: the O(1) `is_live`/`idle_threads` answers and the
+    /// occupancy spans are only sound while these hold.
+    #[cfg(debug_assertions)]
+    fn debug_audit(&self, now: Cycles) {
+        debug_assert_eq!(
+            (self.n_idle, self.n_live),
+            self.recount(),
+            "PE (idle, live) counters diverged from thread states at {now:?}"
+        );
+        for (i, t) in self.threads.iter().enumerate() {
+            debug_assert!(
+                matches!(t.state, ThreadState::Idle) || t.occ_since <= self.accounted_to,
+                "thread {i} occupancy span opens after accounted_to at {now:?}"
+            );
         }
+    }
+}
+
+impl Clocked for Pe {
+    fn tick(&mut self, now: Cycles) {
+        // Settle any cycles skipped by an active-set scheduler, then mark
+        // this cycle accounted: occupancy spans now cover it, and the issue
+        // slot below accounts the core inline.
+        self.settle_accounting(now);
+        self.accounted_to = now.0 + 1;
+        self.step(now);
+        #[cfg(debug_assertions)]
+        self.debug_audit(now);
     }
 }
 
@@ -907,7 +918,11 @@ mod tests {
         for _ in 0..4 {
             pe.spawn(Program::straight_line([Op::Compute(25)])).unwrap();
         }
-        run(&mut pe, 110);
+        run(&mut pe, 60);
+        assert_eq!(pe.tasks_completed(), 0, "the four bursts interleave");
+        for c in 60..110 {
+            pe.tick(Cycles(c));
+        }
         let s = pe.stats();
         assert_eq!(s.tasks_completed, 4);
         assert_eq!(s.swaps, 0);
@@ -1044,6 +1059,52 @@ mod tests {
             (s.tasks_completed, s.core_utilization.to_bits(), s.swaps)
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// The transition-kept counters against a recount from thread states.
+    fn assert_counters_exact(pe: &Pe) {
+        assert_eq!((pe.n_idle, pe.n_live), pe.recount());
+    }
+
+    #[test]
+    fn thread_counters_stay_exact_across_transitions() {
+        let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 3));
+        assert_counters_exact(&pe);
+        pe.spawn(Program::straight_line([])).unwrap();
+        assert_counters_exact(&pe);
+        assert_eq!(pe.idle_threads(), 3, "an empty task never holds a context");
+        let caller = pe
+            .spawn(Program::straight_line([Op::call(NodeId(1), 8, 8)]))
+            .unwrap();
+        pe.spawn(Program::straight_line([Op::Compute(40)])).unwrap();
+        assert_counters_exact(&pe);
+        run(&mut pe, 4);
+        assert!(pe.is_awaiting(caller));
+        assert_counters_exact(&pe);
+        pe.complete(caller);
+        assert_counters_exact(&pe);
+        assert!(pe.is_live());
+        pe.crash(Cycles(4));
+        assert_counters_exact(&pe);
+        assert!(!pe.is_live());
+        pe.restart(Cycles(6));
+        assert_counters_exact(&pe);
+        assert_eq!(pe.idle_threads(), 3);
+        let t = pe
+            .spawn(Program::straight_line([Op::send(NodeId(2), 8)]))
+            .unwrap();
+        for c in 6..9 {
+            pe.tick(Cycles(c));
+        }
+        assert!(pe.is_awaiting(t));
+        assert!(!pe.is_live(), "the only task awaits its send");
+        pe.complete(t);
+        for c in 9..12 {
+            pe.tick(Cycles(c));
+        }
+        assert_counters_exact(&pe);
+        assert_eq!(pe.idle_threads(), 3);
+        assert_eq!(pe.tasks_completed(), 2);
     }
 
     #[test]

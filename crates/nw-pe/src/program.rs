@@ -125,6 +125,24 @@ impl Program {
         self.ops.get(pc)
     }
 
+    /// The op at `pc` for issue, with its marshalled payload moved out
+    /// (an empty buffer stays behind). Each pc issues once, and a crash
+    /// harvests only ops at or after the pc, so the emptied op is never
+    /// read again.
+    pub(crate) fn take_op(&mut self, pc: usize) -> Option<Op> {
+        let op = self.ops.get_mut(pc)?;
+        let payload = match op {
+            Op::Send { data, .. } | Op::Call { data, .. } => std::mem::take(data),
+            Op::Compute(_) | Op::LocalMem { .. } => Vec::new(),
+        };
+        // With the payload gone, the clone copies only scalars.
+        let mut taken = op.clone();
+        if let Op::Send { data, .. } | Op::Call { data, .. } = &mut taken {
+            *data = payload;
+        }
+        Some(taken)
+    }
+
     /// Number of ops.
     pub fn len(&self) -> usize {
         self.ops.len()
