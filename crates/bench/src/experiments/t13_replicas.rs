@@ -8,8 +8,8 @@
 //! warmed to steady state under a seeded campaign, snapshotted, and then
 //! fanned out with [`FppaPlatform::fork`] into N measurement replicas —
 //! each re-seeded so the *undrained* fault future is redrawn while the
-//! warmed-up architectural state (caches, queues, pool ledger, pacing
-//! credit) is shared bit-for-bit. The observables are the worst-object
+//! warmed-up architectural state (caches, queues, pacing credit) is
+//! shared bit-for-bit. The observables are the worst-object
 //! latency percentiles per replica, aggregated across seeds as
 //! min/median/max with a 95% CI half-width (`nw_sim::summarize_replicas`).
 //!

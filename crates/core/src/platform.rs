@@ -19,18 +19,16 @@ use crate::report::PlatformReport;
 use crate::resilience::{CloseOutcome, ResilienceState, ResilienceStats, RetryPolicy};
 use crate::runtime::Runtime;
 use crate::tags::{is_reply, RequestTag};
-use nw_dsoc::{MessageKind, MessageView};
+use nw_dsoc::{Header, MessageKind};
 use nw_fabric::Efpga;
 use nw_fault::{FabricShape, FaultCampaign, FaultKind};
 use nw_hwip::{HwIpBlock, IoChannel};
 use nw_mem::{MemRequest, MemoryController, MemorySpec, ReqKind};
-use nw_noc::{Noc, PayloadPool, Topology};
+use nw_noc::{Noc, Topology};
 use nw_obs::{HostPhase, HostProfiler, NocHeatmap, TraceEvent, TraceSink};
 use nw_pe::{Pe, PeRequest};
 use nw_sim::{Clock, Clocked, LatencyHistogram};
-use nw_types::{AreaMm2, Cycles, NodeId, ObjectId, PeId, Picojoules};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use nw_types::{AreaMm2, Cycles, NodeId, ObjectId, Payload, PeId, Picojoules};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -110,7 +108,7 @@ pub enum NodeRole {
 pub(crate) struct Outgoing {
     pub src: NodeId,
     pub dst: NodeId,
-    pub data: Vec<u8>,
+    pub payload: Payload,
     pub tag: u64,
     /// Thread to complete once the NI accepts the packet (async sends).
     pub on_accept: Option<(PeId, nw_types::ThreadId)>,
@@ -159,12 +157,6 @@ pub struct FppaPlatform {
     /// fault) — every such change empties this cache so the next
     /// [`FppaPlatform::hop_matrix`] recomputes against the degraded tables.
     hop_cache: OnceCell<Vec<Vec<f64>>>,
-    /// Recycling arena for packet payloads: consumed packet buffers return
-    /// here in `route_arrivals`, and every payload producer (service
-    /// replies, ingress invocations, handler-synthesized messages, PE
-    /// request padding) draws from it instead of the allocator. Purely an
-    /// allocation cache — contents and timing are bit-identical either way.
-    pool: PayloadPool,
     /// In-flight synchronous round trip per hardware thread
     /// (`call_issue[pe][tid]`): the cycle the `Op::Call` issued and the
     /// application object the latency is attributed to. Stamped in
@@ -205,22 +197,16 @@ pub struct FppaPlatform {
     /// The replica seed last applied by [`FppaPlatform::reseed`] /
     /// [`FppaPlatform::fork`] (0 for a freshly built platform).
     seed: u64,
-    /// Platform-owned RNG, checkpointed word-for-word by snapshots. The
-    /// default simulation path never draws from it — determinism of
-    /// existing runs does not depend on it — but forked replicas re-seed
-    /// it (and the fault campaign's future) to diverge.
-    rng: StdRng,
 }
 
 /// A plain-old-data checkpoint of a [`FppaPlatform`].
 ///
 /// Captures the complete simulation state — PE/program state, NoC engine
-/// state (queues, `busy_until` stamps, event-wheel wakes, the
-/// [`PayloadPool`] ledger), runtime dispatch state (pending invocations,
-/// retry deadlines, handler-plan cache), service/memory state, latency
-/// histograms, resilience counters, and the RNG state words — such that
-/// [`FppaPlatform::from_snapshot`] continues bit-identically to the
-/// uninterrupted original.
+/// state (queues, `busy_until` stamps, event-wheel wakes), runtime
+/// dispatch state (pending invocations, retry deadlines, handler-plan
+/// cache), service/memory state, latency histograms, resilience counters
+/// and the replica seed — such that [`FppaPlatform::from_snapshot`]
+/// continues bit-identically to the uninterrupted original.
 ///
 /// Deliberately **not** captured (host-side observers, never simulation
 /// state): the trace sink and the host profiler. [`FppaPlatform::restore`]
@@ -229,10 +215,6 @@ pub struct FppaPlatform {
 pub struct PlatformSnapshot {
     /// Full platform state with the host-side observers stripped.
     state: Box<FppaPlatform>,
-    /// xoshiro256++ state words, captured via `StdRng::get_state`.
-    rng_state: [u64; 4],
-    /// Replica seed at capture time.
-    seed: u64,
 }
 
 impl PlatformSnapshot {
@@ -243,7 +225,7 @@ impl PlatformSnapshot {
 
     /// The replica seed active at capture time.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.state.seed
     }
 }
 
@@ -350,7 +332,6 @@ impl FppaPlatform {
             scheduler: default_scheduler_mode(),
             pe_active: vec![true; n_pes],
             hop_cache: OnceCell::new(),
-            pool: PayloadPool::new(),
             call_issue,
             object_latency: Vec::new(),
             latency_deadlines: Vec::new(),
@@ -361,7 +342,6 @@ impl FppaPlatform {
             resilience: None,
             rstats: ResilienceStats::default(),
             seed: 0,
-            rng: StdRng::seed_from_u64(0),
         })
     }
 
@@ -403,7 +383,6 @@ impl FppaPlatform {
             scheduler: self.scheduler,
             pe_active: self.pe_active.clone(),
             hop_cache: self.hop_cache.clone(),
-            pool: self.pool.clone(),
             call_issue: self.call_issue.clone(),
             object_latency: self.object_latency.clone(),
             latency_deadlines: self.latency_deadlines.clone(),
@@ -414,7 +393,6 @@ impl FppaPlatform {
             resilience: self.resilience.clone(),
             rstats: self.rstats.clone(),
             seed: self.seed,
-            rng: self.rng.clone(),
         }
     }
 
@@ -423,8 +401,6 @@ impl FppaPlatform {
     /// observers included) and can keep running.
     pub fn snapshot(&self) -> PlatformSnapshot {
         PlatformSnapshot {
-            rng_state: self.rng.get_state(),
-            seed: self.seed,
             state: Box::new(self.clone_state()),
         }
     }
@@ -434,10 +410,7 @@ impl FppaPlatform {
     /// both [`SchedulerMode`]s, with or without an active fault campaign —
     /// and starts with no trace sink or profiler installed.
     pub fn from_snapshot(snap: &PlatformSnapshot) -> FppaPlatform {
-        let mut p = snap.state.clone_state();
-        p.seed = snap.seed;
-        p.rng = StdRng::from_state(snap.rng_state);
-        p
+        snap.state.clone_state()
     }
 
     /// Overwrites this platform's simulation state with the snapshot's,
@@ -457,24 +430,22 @@ impl FppaPlatform {
     /// Spawns an independent measurement replica: a bit-exact copy of this
     /// warmed-up platform, re-seeded with `seed`. The replica shares the
     /// parent's entire history (queues, histograms, fault effects already
-    /// applied) but its *future* randomness — the platform RNG stream and
-    /// the undrained tail of an installed fault campaign — is redrawn from
-    /// `seed`. Forking with the seed the campaign was generated from (or
-    /// any seed, when no campaign is installed and the RNG is never drawn)
-    /// reproduces the uninterrupted run exactly; distinct seeds give
-    /// statistically independent replicas.
+    /// applied) but its *future* randomness — the undrained tail of an
+    /// installed fault campaign — is redrawn from `seed`. Forking with the
+    /// seed the campaign was generated from (or any seed, when no campaign
+    /// is installed) reproduces the uninterrupted run exactly; distinct
+    /// seeds give statistically independent replicas.
     pub fn fork(&self, seed: u64) -> FppaPlatform {
         let mut p = self.clone_state();
         p.reseed(seed);
         p
     }
 
-    /// Re-seeds the platform RNG and redraws the undrained future of an
-    /// installed fault campaign from `seed`, keeping all other state (see
+    /// Records `seed` as the replica seed and redraws the undrained future
+    /// of an installed fault campaign from it, keeping all other state (see
     /// [`FppaPlatform::fork`]).
     pub fn reseed(&mut self, seed: u64) {
         self.seed = seed;
-        self.rng = StdRng::seed_from_u64(seed);
         let now = self.clock.now().0;
         if let Some(c) = self.campaign.as_mut() {
             c.reseed(seed, now);
@@ -485,14 +456,6 @@ impl FppaPlatform {
     /// [`FppaPlatform::fork`] (0 for a freshly built platform).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Direct access to the platform-owned seeded RNG. The built-in
-    /// simulation path never draws from it; custom components that want
-    /// per-replica randomness should draw here so forked replicas diverge
-    /// and snapshots capture their stream position.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 
     /// Retunes I/O channel `i`'s line rate in place (warm-fork hook: grid
@@ -680,16 +643,6 @@ impl FppaPlatform {
         &self.ios[i]
     }
 
-    /// Payload buffers acquired from the platform's [`PayloadPool`] but not
-    /// yet recycled (`taken - returned`). On a quiesced platform with a
-    /// finite workload this must be zero: every synthesized or ingress
-    /// payload became a packet that was eventually consumed and its buffer
-    /// returned. The scheduler differential suite pins that conservation
-    /// law; a persistent nonzero residue under quiescence is a buffer leak.
-    pub fn payload_outstanding(&self) -> i64 {
-        self.pool.outstanding()
-    }
-
     /// NoC hop-distance matrix over all endpoints (input for the MultiFlex
     /// mappers).
     ///
@@ -875,22 +828,13 @@ impl FppaPlatform {
         true
     }
 
-    /// Crashes PE `pe` (fault hook): threads die, owned payload buffers are
-    /// recycled into the pool, latency probes and retry entries of the PE
-    /// are cancelled. Idempotent while crashed.
+    /// Crashes PE `pe` (fault hook): threads die, latency probes and retry
+    /// entries of the PE are cancelled. Idempotent while crashed.
     fn crash_pe(&mut self, pe: usize, now: Cycles) {
         if pe >= self.pes.len() || self.pes[pe].is_crashed() {
             return;
         }
-        for b in self.pes[pe].crash(now) {
-            // Storage-less program payloads (`Op::call` stubs) are only
-            // converted to pool buffers by `pad_zeroed` at send time; a
-            // crashed PE's unexecuted ones were never taken, so counting
-            // them as returns would unbalance the ledger.
-            if b.capacity() > 0 {
-                self.pool.put(b);
-            }
-        }
+        self.pes[pe].crash(now);
         // One settling tick; the PE reads dormant from the next cycle on.
         self.pe_active[pe] = true;
         for slot in &mut self.call_issue[pe] {
@@ -900,17 +844,14 @@ impl FppaPlatform {
             rt.clear_thread_objects(pe);
         }
         if let Some(rs) = self.resilience.as_mut() {
-            for b in rs.abandon_pe(pe) {
-                self.pool.put(b);
-            }
+            rs.abandon_pe(pe);
         }
         self.rstats.pe_crashes += 1;
     }
 
-    /// Drains and applies every campaign event due at `now`, then recycles
-    /// any payload buffers the NoC dropped (injected drops now, or
-    /// disconnection drops during earlier ticks). Runs at the top of both
-    /// scheduler steps, so fault application lands on identical cycles.
+    /// Drains and applies every campaign event due at `now`. Runs at the
+    /// top of both scheduler steps, so fault application lands on
+    /// identical cycles.
     fn apply_faults(&mut self, now: Cycles) {
         let Some(mut campaign) = self.campaign.take() else {
             return;
@@ -983,11 +924,6 @@ impl FppaPlatform {
             }
         }
         self.campaign = Some(campaign);
-        if self.noc.has_dropped_buffers() {
-            for b in self.noc.take_dropped_buffers() {
-                self.pool.put(b);
-            }
-        }
     }
 
     /// Fires due retry deadlines: re-issue with a bumped token and doubled
@@ -1008,9 +944,7 @@ impl FppaPlatform {
                     u32::from(entry.attempt) + 1 >= u32::from(policy.max_attempts.max(1))
                 };
                 if give_up {
-                    if let Some(data) = rs.abandon(p, tid) {
-                        self.pool.put(data);
-                    }
+                    rs.abandon(p, tid);
                     self.call_issue[p][tid] = None;
                     self.rstats.retry_give_ups += 1;
                     let t = nw_types::ThreadId(tid);
@@ -1021,9 +955,6 @@ impl FppaPlatform {
                 } else {
                     rs.bump(p, tid, now.0);
                     let entry = rs.get_mut(p, tid).expect("entry was just bumped");
-                    let mut fresh = self.pool.take();
-                    fresh.extend_from_slice(&entry.data);
-                    let send = std::mem::replace(&mut entry.data, fresh);
                     let tag = RequestTag {
                         pe: PeId(p),
                         tid: nw_types::ThreadId(tid),
@@ -1035,7 +966,7 @@ impl FppaPlatform {
                     self.outbox.push_back(Outgoing {
                         src: self.pe_nodes[p],
                         dst,
-                        data: send,
+                        payload: entry.payload,
                         tag,
                         on_accept: None,
                     });
@@ -1440,13 +1371,6 @@ impl FppaPlatform {
         for pe in &mut self.pes {
             pe.settle_accounting(now);
         }
-        // Buffers dropped by the NoC on the final cycle (injected drops,
-        // disconnections) still belong to the pool.
-        if self.noc.has_dropped_buffers() {
-            for b in self.noc.take_dropped_buffers() {
-                self.pool.put(b);
-            }
-        }
     }
 
     /// Drains line-rate ingress into DSOC invocations (runtime present) or
@@ -1464,17 +1388,16 @@ impl FppaPlatform {
             // the RX FIFO (and overflows are counted as line drops).
             while self.noc.ni_free(io_node) > 0 {
                 let Some(_seq) = io.take_rx() else { break };
-                let (dst, data) = rt.ingress_invocation(i, &mut self.pool);
-                let bytes = data.len();
+                let (dst, payload) = rt.ingress_invocation(i);
                 self.noc
-                    .try_inject(io_node, dst, data, 0, now)
+                    .try_inject(io_node, dst, payload, 0, now)
                     .expect("ni_free was checked");
                 if let Some(s) = self.obs_sink.as_deref_mut() {
                     s.emit(TraceEvent::FlitInject {
                         cycle: now.0,
                         src: io_node.0,
                         dst: dst.0,
-                        bytes,
+                        bytes: payload.len() as usize,
                     });
                 }
             }
@@ -1483,7 +1406,7 @@ impl FppaPlatform {
 
     fn route_arrivals(&mut self, now: Cycles) {
         for node in 0..self.roles.len() {
-            while let Some(mut pkt) = self.noc.eject(NodeId(node)) {
+            while let Some(pkt) = self.noc.eject(NodeId(node)) {
                 match self.roles[node] {
                     NodeRole::Pe(p) => {
                         if is_reply(pkt.tag) {
@@ -1501,8 +1424,7 @@ impl FppaPlatform {
                                     self.pe_active[p] = true;
                                     self.pes[p].complete(t.tid);
                                 }
-                                Some(CloseOutcome::Live(stored)) => {
-                                    self.pool.put(stored);
+                                Some(CloseOutcome::Live) => {
                                     self.record_reply_latency(p, t.tid, now);
                                     self.pe_active[p] = true;
                                     self.pes[p].complete(t.tid);
@@ -1576,9 +1498,6 @@ impl FppaPlatform {
                         self.ios[i].transmit(pkt.wire_bytes());
                     }
                 }
-                // Every arm above consumes the packet; its payload buffer
-                // goes back to the arena for the next producer.
-                self.pool.put(std::mem::take(&mut pkt.data));
             }
         }
     }
@@ -1689,7 +1608,9 @@ impl FppaPlatform {
         self.outbox.push_back(Outgoing {
             src,
             dst,
-            data: self.pool.take_zeroed(t.reply_bytes as usize),
+            payload: Payload::zeroed(
+                u32::try_from(t.reply_bytes).expect("the tag holds a 32-bit reply size"),
+            ),
             tag: t.encode_reply(),
             on_accept: None,
         });
@@ -1704,7 +1625,6 @@ impl FppaPlatform {
             &mut self.pes,
             now,
             &mut self.pe_active,
-            &mut self.pool,
             self.obs_sink.as_deref_mut(),
         );
         self.runtime = Some(rt);
@@ -1723,13 +1643,19 @@ impl FppaPlatform {
     ///
     /// `None` (manually spawned programs, no installed application, or an
     /// undecodable payload) records nothing.
-    fn call_attribution(&self, p: usize, tid: usize, dst: NodeId, data: &[u8]) -> Option<ObjectId> {
+    fn call_attribution(
+        &self,
+        p: usize,
+        tid: usize,
+        dst: NodeId,
+        payload: &Payload,
+    ) -> Option<ObjectId> {
         match self.roles.get(dst.0)? {
             NodeRole::Memory(_) | NodeRole::Fabric(_) | NodeRole::HwIp(_) => self
                 .runtime
                 .as_ref()
                 .and_then(|rt| rt.thread_object(p, tid)),
-            NodeRole::Pe(_) => MessageView::decode(data)
+            NodeRole::Pe(_) => Header::decode(payload)
                 .ok()
                 .filter(|m| m.kind == MessageKind::Invocation)
                 .map(|m| m.object),
@@ -1745,44 +1671,34 @@ impl FppaPlatform {
             let src = self.pe_nodes[p];
             for (tid, req) in self.pes[p].take_requests() {
                 match req {
-                    PeRequest::Send {
-                        dst,
-                        bytes,
-                        mut data,
-                        tag,
-                    } => {
-                        self.pool.pad_zeroed(&mut data, bytes as usize);
+                    PeRequest::Send { dst, payload, tag } => {
                         self.outbox.push_back(Outgoing {
                             src,
                             dst,
-                            data,
+                            payload,
                             tag,
                             on_accept: Some((PeId(p), tid)),
                         });
                     }
                     PeRequest::Call {
                         dst,
-                        bytes,
+                        payload,
                         reply_bytes,
-                        mut data,
                     } => {
                         // Open the latency probe: the round trip ends when
                         // the reply packet is delivered back to this thread.
                         if let Some(obj) = self
-                            .call_attribution(p, tid.0, dst, &data)
+                            .call_attribution(p, tid.0, dst, &payload)
                             .filter(|o| o.0 < self.object_latency.len())
                         {
                             self.call_issue[p][tid.0] = Some((now, obj));
                         }
-                        self.pool.pad_zeroed(&mut data, bytes as usize);
                         // With the retry layer on, open a pending entry
-                        // holding a pool-accounted clone of the payload and
-                        // stamp its token on the tag; off, token 0 keeps
-                        // the tag bit-identical to the legacy layout.
+                        // holding the payload for re-sends and stamp its
+                        // token on the tag; off, token 0 keeps the tag
+                        // bit-identical to the legacy layout.
                         let token = if let Some(rs) = self.resilience.as_mut() {
-                            let mut copy = self.pool.take();
-                            copy.extend_from_slice(&data);
-                            rs.open(p, tid.0, dst, reply_bytes, copy, now.0)
+                            rs.open(p, tid.0, dst, reply_bytes, payload, now.0)
                         } else {
                             0
                         };
@@ -1796,7 +1712,7 @@ impl FppaPlatform {
                         self.outbox.push_back(Outgoing {
                             src,
                             dst,
-                            data,
+                            payload,
                             tag,
                             on_accept: None,
                         });
@@ -1809,22 +1725,21 @@ impl FppaPlatform {
     fn flush_outbox(&mut self, now: Cycles) {
         let mut remaining = VecDeque::new();
         while let Some(out) = self.outbox.pop_front() {
-            // Guard with ni_free so the payload is only moved into the NoC
-            // when acceptance is certain; a full NI means retry next cycle.
+            // Guard with ni_free so the NoC never counts a refusal for a
+            // packet that simply waits; a full NI means retry next cycle.
             if self.noc.ni_free(out.src) == 0 {
                 remaining.push_back(out);
                 continue;
             }
-            let bytes = out.data.len();
             self.noc
-                .try_inject(out.src, out.dst, out.data, out.tag, now)
+                .try_inject(out.src, out.dst, out.payload, out.tag, now)
                 .expect("NI space was checked and platform nodes are valid");
             if let Some(s) = self.obs_sink.as_deref_mut() {
                 s.emit(TraceEvent::FlitInject {
                     cycle: now.0,
                     src: out.src.0,
                     dst: out.dst.0,
-                    bytes,
+                    bytes: out.payload.len() as usize,
                 });
             }
             if let Some((pe, tid)) = out.on_accept {
@@ -1929,7 +1844,8 @@ impl FppaPlatform {
         &self.ios
     }
 
-    pub(crate) fn noc_ref(&self) -> &Noc {
+    /// The NoC engine, read-only (statistics and fault bookkeeping).
+    pub fn noc(&self) -> &Noc {
         &self.noc
     }
 

@@ -120,7 +120,7 @@ impl PlatformReport {
                     }
                 })
                 .collect(),
-            noc: p.noc_ref().stats(),
+            noc: p.noc().stats(),
             io: p
                 .ios_slice()
                 .iter()

@@ -30,7 +30,7 @@
 //! cycle numbers, tokens are per-thread counters — so fault runs stay
 //! bit-identical across scheduler modes and across repeats of a seed.
 
-use nw_types::NodeId;
+use nw_types::{NodeId, Payload};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Deterministic retry/timeout policy for synchronous calls.
@@ -82,16 +82,15 @@ pub(crate) struct PendingCall {
     pub dst: NodeId,
     /// Expected reply payload size (tag field).
     pub reply_bytes: u64,
-    /// Pool-accounted clone of the request payload, ready to re-send.
-    pub data: Vec<u8>,
+    /// The request payload, re-sent verbatim on retry.
+    pub payload: Payload,
 }
 
 /// Outcome of matching an arriving reply against the retry table.
 #[derive(Debug)]
 pub(crate) enum CloseOutcome {
-    /// The live attempt's reply: entry closed, stored payload returned for
-    /// recycling. Deliver the completion.
-    Live(Vec<u8>),
+    /// The live attempt's reply: entry closed. Deliver the completion.
+    Live,
     /// A stale attempt's reply (token mismatch): drop it, keep waiting.
     Stale,
     /// No entry for this thread (already gave up, or the PE crashed):
@@ -132,7 +131,7 @@ impl ResilienceState {
         tid: usize,
         dst: NodeId,
         reply_bytes: u64,
-        data: Vec<u8>,
+        payload: Payload,
         now: u64,
     ) -> u8 {
         let salt = self.salts.entry((pe, tid)).or_insert(0);
@@ -145,7 +144,7 @@ impl ResilienceState {
             token,
             dst,
             reply_bytes,
-            data,
+            payload,
         };
         if let Some(old) = self.pending.insert((pe, tid), call) {
             self.by_deadline.remove(&(old.deadline, pe, tid));
@@ -175,8 +174,8 @@ impl ResilienceState {
     pub fn close(&mut self, pe: usize, tid: usize, token: u8) -> CloseOutcome {
         match self.pending.get(&(pe, tid)) {
             Some(entry) if entry.token == token => {
-                let data = self.abandon(pe, tid).expect("entry just matched");
-                CloseOutcome::Live(data)
+                self.abandon(pe, tid);
+                CloseOutcome::Live
             }
             Some(_) => CloseOutcome::Stale,
             None => CloseOutcome::Unknown,
@@ -199,23 +198,23 @@ impl ResilienceState {
         self.pending.get_mut(&(pe, tid))
     }
 
-    /// Removes an entry (give-up, crash), returning its payload.
-    pub fn abandon(&mut self, pe: usize, tid: usize) -> Option<Vec<u8>> {
-        let e = self.pending.remove(&(pe, tid))?;
-        self.by_deadline.remove(&(e.deadline, pe, tid));
-        Some(e.data)
+    /// Removes an entry (give-up, crash), if one pends.
+    pub fn abandon(&mut self, pe: usize, tid: usize) {
+        if let Some(e) = self.pending.remove(&(pe, tid)) {
+            self.by_deadline.remove(&(e.deadline, pe, tid));
+        }
     }
 
-    /// Drops every entry of PE `pe` (crash), returning the payloads.
-    pub fn abandon_pe(&mut self, pe: usize) -> Vec<Vec<u8>> {
+    /// Drops every entry of PE `pe` (crash).
+    pub fn abandon_pe(&mut self, pe: usize) {
         let keys: Vec<_> = self
             .pending
             .range((pe, 0)..(pe + 1, 0))
             .map(|(&k, _)| k)
             .collect();
-        keys.into_iter()
-            .filter_map(|(pe, tid)| self.abandon(pe, tid))
-            .collect()
+        for (pe, tid) in keys {
+            self.abandon(pe, tid);
+        }
     }
 
     /// The earliest pending deadline — folded into the scheduler
@@ -268,13 +267,10 @@ mod tests {
     #[test]
     fn open_close_roundtrip() {
         let mut rs = ResilienceState::new(RetryPolicy::default());
-        let tok = rs.open(1, 2, NodeId(5), 64, vec![1, 2, 3], 100);
+        let tok = rs.open(1, 2, NodeId(5), 64, Payload::zeroed(3), 100);
         assert_eq!(rs.pending_len(), 1);
         assert_eq!(rs.earliest_deadline(), Some(100 + 4_096));
-        match rs.close(1, 2, tok) {
-            CloseOutcome::Live(data) => assert_eq!(data, vec![1, 2, 3]),
-            other => panic!("expected live close, got {other:?}"),
-        }
+        assert!(matches!(rs.close(1, 2, tok), CloseOutcome::Live));
         assert_eq!(rs.pending_len(), 0);
         assert!(matches!(rs.close(1, 2, tok), CloseOutcome::Unknown));
     }
@@ -282,23 +278,23 @@ mod tests {
     #[test]
     fn stale_token_is_detected() {
         let mut rs = ResilienceState::new(RetryPolicy::default());
-        let tok = rs.open(0, 0, NodeId(1), 8, Vec::new(), 0);
+        let tok = rs.open(0, 0, NodeId(1), 8, Payload::zeroed(0), 0);
         let entry = rs.get_mut(0, 0).expect("entry open");
         entry.attempt = 1;
         entry.token = tok.wrapping_add(1);
         assert!(matches!(rs.close(0, 0, tok), CloseOutcome::Stale));
         assert!(matches!(
             rs.close(0, 0, tok.wrapping_add(1)),
-            CloseOutcome::Live(_)
+            CloseOutcome::Live
         ));
     }
 
     #[test]
     fn tokens_never_repeat_across_reopens() {
         let mut rs = ResilienceState::new(RetryPolicy::default());
-        let a = rs.open(0, 0, NodeId(1), 8, Vec::new(), 0);
+        let a = rs.open(0, 0, NodeId(1), 8, Payload::zeroed(0), 0);
         rs.abandon(0, 0);
-        let b = rs.open(0, 0, NodeId(1), 8, Vec::new(), 50);
+        let b = rs.open(0, 0, NodeId(1), 8, Payload::zeroed(0), 50);
         assert_ne!(a, b, "a reopened call must get a fresh token");
     }
 
@@ -308,13 +304,12 @@ mod tests {
             timeout: 10,
             max_attempts: 3,
         });
-        rs.open(0, 0, NodeId(1), 8, vec![1], 0);
-        rs.open(0, 1, NodeId(1), 8, vec![2], 5);
-        rs.open(2, 0, NodeId(1), 8, vec![3], 0);
+        rs.open(0, 0, NodeId(1), 8, Payload::zeroed(1), 0);
+        rs.open(0, 1, NodeId(1), 8, Payload::zeroed(2), 5);
+        rs.open(2, 0, NodeId(1), 8, Payload::zeroed(3), 0);
         assert_eq!(rs.due_keys(10), vec![(0, 0), (2, 0)]);
         assert_eq!(rs.due_keys(9), Vec::<(usize, usize)>::new());
-        let dropped = rs.abandon_pe(0);
-        assert_eq!(dropped, vec![vec![1], vec![2]]);
+        rs.abandon_pe(0);
         assert_eq!(rs.pending_len(), 1);
         assert_eq!(rs.earliest_deadline(), Some(10));
     }
@@ -335,19 +330,15 @@ mod tests {
                 let (pe, tid) = (rng.gen_range(0..4usize), rng.gen_range(0..3usize));
                 match rng.gen_range(0..10u32) {
                     0..=3 => {
-                        rs.open(pe, tid, NodeId(1), 8, vec![1], now);
+                        rs.open(pe, tid, NodeId(1), 8, Payload::zeroed(1), now);
                     }
                     4..=5 => rs.bump(pe, tid, now),
                     6 => {
                         let token = rs.pending.get(&(pe, tid)).map_or(0, |e| e.token);
                         rs.close(pe, tid, token);
                     }
-                    7..=8 => {
-                        rs.abandon(pe, tid);
-                    }
-                    _ => {
-                        rs.abandon_pe(pe);
-                    }
+                    7..=8 => rs.abandon(pe, tid),
+                    _ => rs.abandon_pe(pe),
                 }
                 let min = rs.pending.values().map(|e| e.deadline).min();
                 assert_eq!(rs.earliest_deadline(), min, "seed {seed} at {now}");

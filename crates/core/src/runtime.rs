@@ -16,16 +16,12 @@
 //!    binding, or saturation mode for utilization experiments.
 
 use crate::tags::RequestTag;
-use nw_dsoc::{Application, Broker, Domain, Message, MessageKind, MessageView, MethodId};
-use nw_noc::{Packet, PayloadPool};
+use nw_dsoc::{Application, Broker, Domain, Header, Message, MessageKind, MethodId};
+use nw_noc::Packet;
 use nw_obs::{TraceEvent, TraceSink};
 use nw_pe::{KernelDomain, Op, Pe, Program};
-use nw_types::{Cycles, NodeId, ObjectId};
+use nw_types::{Cycles, NodeId, ObjectId, Payload};
 use std::collections::{BTreeMap, VecDeque};
-
-// nw-analyze: allow-file(RH01): every acquired buffer's ownership transfers out of this
-// module — into synthesized Program sends and outbox messages that become NoC packets;
-// the platform recycles each one at packet consumption (FppaPlatform::route_arrivals).
 use std::fmt;
 use std::sync::Arc;
 
@@ -337,40 +333,28 @@ impl Runtime {
         self.io_bindings.get(io).is_some_and(|b| !b.is_empty())
     }
 
-    /// Builds the (destination node, marshalled bytes) of one line-rate
+    /// Builds the (destination node, marshalled payload) of one line-rate
     /// ingress invocation for a bound I/O channel, rotating round-robin
-    /// among the channel's bound entry points. The marshalled buffer is
-    /// drawn from the payload arena rather than allocated.
+    /// among the channel's bound entry points.
     ///
     /// # Panics
     ///
     /// Panics if the channel has no bindings (callers check
     /// [`Runtime::io_has_bindings`] first).
-    pub(crate) fn ingress_invocation(
-        &mut self,
-        io: usize,
-        pool: &mut PayloadPool,
-    ) -> (NodeId, Vec<u8>) {
+    pub(crate) fn ingress_invocation(&mut self, io: usize) -> (NodeId, Payload) {
         let bindings = &self.io_bindings[io];
         assert!(!bindings.is_empty(), "ingress on an unbound I/O channel");
         let b = bindings[self.io_rr[io] % bindings.len()];
         self.io_rr[io] = (self.io_rr[io] + 1) % bindings.len();
-        let arg_bytes = self.app.method(b.object, b.method).arg_bytes as usize;
+        let arg_bytes = self.app.method(b.object, b.method).arg_bytes;
         let seq = self.next_seq();
-        let mut data = pool.take();
-        Message::encode_zeroed_into(
-            MessageKind::Invocation,
-            b.object,
-            b.method,
-            seq,
-            arg_bytes,
-            &mut data,
-        );
+        let payload =
+            Message::zeroed_payload(MessageKind::Invocation, b.object, b.method, seq, arg_bytes);
         let dst = self
             .broker
             .resolve(b.object)
             .expect("placed objects are registered");
-        (dst, data)
+        (dst, payload)
     }
 
     fn next_seq(&mut self) -> u32 {
@@ -380,9 +364,7 @@ impl Runtime {
 
     /// Routes an arriving DSOC packet at PE `p` into its dispatch queue.
     pub(crate) fn enqueue_invocation(&mut self, p: usize, pkt: &Packet) {
-        // Borrowed decode: dispatch only needs the header fields, so the
-        // body stays in the packet buffer (which the platform recycles).
-        let msg = match MessageView::decode(&pkt.data) {
+        let msg = match Header::decode(&pkt.payload) {
             Ok(m) => m,
             Err(_) => {
                 self.decode_errors += 1;
@@ -455,7 +437,6 @@ impl Runtime {
         pes: &mut [Pe],
         now: Cycles,
         woken: &mut [bool],
-        pool: &mut PayloadPool,
         mut sink: Option<&mut (dyn TraceSink + '_)>,
     ) {
         if self.pending_total > 0 {
@@ -469,7 +450,7 @@ impl Runtime {
                         break;
                     };
                     self.pending_total -= 1;
-                    let prog = self.synthesize(&inv, pool);
+                    let prog = self.synthesize(&inv);
                     let tid = pe.spawn(prog).expect("idle thread count was checked");
                     self.note_spawn(p, tid, inv.object);
                     if let Some(s) = sink.as_deref_mut() {
@@ -496,15 +477,12 @@ impl Runtime {
             pes[pe].settle_accounting(now);
             woken[pe] = true;
             while pes[pe].idle_threads() > 0 {
-                let prog = self.synthesize(
-                    &PendingInvocation {
-                        object,
-                        method,
-                        seq: 0,
-                        reply_to: None,
-                    },
-                    pool,
-                );
+                let prog = self.synthesize(&PendingInvocation {
+                    object,
+                    method,
+                    seq: 0,
+                    reply_to: None,
+                });
                 let tid = pes[pe].spawn(prog).expect("idle thread count was checked");
                 self.note_spawn(pe, tid, object);
                 if let Some(s) = sink.as_deref_mut() {
@@ -611,10 +589,9 @@ impl Runtime {
     /// Synthesizes the handler program for one invocation from its memoized
     /// plan; only the fractional-multiplicity carry and message sequence
     /// numbers vary between invocations of the same `(object, method)`.
-    /// Marshalled message buffers come from the payload arena; the bodies
-    /// are all-zero (only sizes are simulated), so the zero-body encoder
-    /// writes them without an intermediate body vector.
-    fn synthesize(&mut self, inv: &PendingInvocation, pool: &mut PayloadPool) -> Program {
+    /// The message bodies are all-zero (only sizes are simulated), so each
+    /// marshalled message is just its payload descriptor.
+    fn synthesize(&mut self, inv: &PendingInvocation) -> Program {
         let plan = self.plan_for(inv.object, inv.method);
         let mut ops = Vec::new();
         if plan.local_bytes > 0 {
@@ -628,12 +605,7 @@ impl Runtime {
         // service node, blocking the thread per round trip.
         if let Some(svc) = plan.service {
             for _ in 0..svc.calls {
-                ops.push(Op::Call {
-                    dst: svc.node,
-                    bytes: svc.request_bytes,
-                    reply_bytes: svc.reply_bytes,
-                    data: Vec::new(),
-                });
+                ops.push(Op::call(svc.node, svc.request_bytes, svc.reply_bytes));
             }
         }
         if plan.compute_cycles > 0 {
@@ -646,28 +618,23 @@ impl Runtime {
             self.edge_carry[e.edge_idx] -= count as f64;
             for _ in 0..count {
                 let seq = self.next_seq();
-                let mut data = pool.take();
-                Message::encode_zeroed_into(
+                let payload = Message::zeroed_payload(
                     MessageKind::Invocation,
                     e.to,
                     e.to_method,
                     seq,
-                    e.arg_bytes as usize,
-                    &mut data,
+                    e.arg_bytes,
                 );
-                let bytes = data.len() as u64;
                 if e.twoway {
                     ops.push(Op::Call {
                         dst: e.dst,
-                        bytes,
+                        payload,
                         reply_bytes: e.call_reply_bytes,
-                        data,
                     });
                 } else {
                     ops.push(Op::Send {
                         dst: e.dst,
-                        bytes,
-                        data,
+                        payload,
                         tag: 0,
                     });
                 }
@@ -678,31 +645,21 @@ impl Runtime {
         // so the round trip is correlated end-to-end on the wire — same
         // marshalled size either way, so timing is unchanged.
         if let Some((reply_to, tag)) = inv.reply_to {
-            let mut data = pool.take();
-            Message::encode_zeroed_into(
-                MessageKind::Reply,
-                inv.object,
-                inv.method,
-                inv.seq,
-                plan.reply_body_bytes as usize,
-                &mut data,
-            );
-            let bytes = data.len() as u64;
             ops.push(Op::Send {
                 dst: reply_to,
-                bytes,
-                data,
+                payload: Message::zeroed_payload(
+                    MessageKind::Reply,
+                    inv.object,
+                    inv.method,
+                    inv.seq,
+                    plan.reply_body_bytes,
+                ),
                 tag: RequestTag::decode(tag).encode_reply(),
             });
         }
         // Egress hand-off.
         if let Some((io_node, packet_bytes)) = plan.egress {
-            ops.push(Op::Send {
-                dst: io_node,
-                bytes: packet_bytes,
-                data: Vec::new(),
-                tag: 0,
-            });
+            ops.push(Op::send(io_node, packet_bytes));
         }
         Program::new(ops, domain_to_kernel(plan.domain))
     }
@@ -914,50 +871,35 @@ mod tests {
         Runtime::new(two_stage_app(), vec![0, 1], &pe_nodes, 2, 0).expect("valid placement")
     }
 
-    /// Op equality modulo marshalled payload bytes (sequence numbers vary
+    /// Op equality modulo the marshalled header (sequence numbers vary
     /// between invocations by design; everything timing-relevant must not).
     fn same_shape(a: &Op, b: &Op) -> bool {
-        match (a, b) {
-            (Op::Compute(x), Op::Compute(y)) => x == y,
-            (
-                Op::LocalMem {
-                    write: wa,
-                    bytes: ba,
-                },
-                Op::LocalMem {
-                    write: wb,
-                    bytes: bb,
-                },
-            ) => wa == wb && ba == bb,
+        match (*a, *b) {
             (
                 Op::Send {
                     dst: da,
-                    bytes: ba,
+                    payload: pa,
                     tag: ta,
-                    data: xa,
                 },
                 Op::Send {
                     dst: db,
-                    bytes: bb,
+                    payload: pb,
                     tag: tb,
-                    data: xb,
                 },
-            ) => da == db && ba == bb && ta == tb && xa.len() == xb.len(),
+            ) => da == db && pa.len() == pb.len() && ta == tb,
             (
                 Op::Call {
                     dst: da,
-                    bytes: ba,
+                    payload: pa,
                     reply_bytes: ra,
-                    data: xa,
                 },
                 Op::Call {
                     dst: db,
-                    bytes: bb,
+                    payload: pb,
                     reply_bytes: rb,
-                    data: xb,
                 },
-            ) => da == db && ba == bb && ra == rb && xa.len() == xb.len(),
-            _ => false,
+            ) => da == db && pa.len() == pb.len() && ra == rb,
+            (x, y) => x == y,
         }
     }
 
@@ -970,11 +912,10 @@ mod tests {
             seq: 0,
             reply_to: None,
         };
-        let mut pool = PayloadPool::new();
-        let first = rt.synthesize(&inv, &mut pool);
+        let first = rt.synthesize(&inv);
         let (hits_after_first, plans) = rt.plan_cache_stats();
         assert_eq!(plans, 1, "one plan per (object, method)");
-        let second = rt.synthesize(&inv, &mut pool);
+        let second = rt.synthesize(&inv);
         let (hits_after_second, plans) = rt.plan_cache_stats();
         assert_eq!(plans, 1, "second synthesis reuses the cached plan");
         assert!(hits_after_second > hits_after_first, "cache must hit");
@@ -991,7 +932,7 @@ mod tests {
         // And the cached path is byte-identical to a cold runtime at the
         // same sequence state.
         let mut cold = runtime();
-        let cold_first = cold.synthesize(&inv, &mut PayloadPool::new());
+        let cold_first = cold.synthesize(&inv);
         assert_eq!(first, cold_first);
     }
 
@@ -1045,15 +986,12 @@ mod tests {
             })
         );
         // The synthesized handler now front-loads the three service calls.
-        let prog = rt.synthesize(
-            &PendingInvocation {
-                object: ObjectId(0),
-                method: MethodId(0),
-                seq: 0,
-                reply_to: None,
-            },
-            &mut PayloadPool::new(),
-        );
+        let prog = rt.synthesize(&PendingInvocation {
+            object: ObjectId(0),
+            method: MethodId(0),
+            seq: 0,
+            reply_to: None,
+        });
         assert_eq!(prog.call_count(), 3);
     }
 }

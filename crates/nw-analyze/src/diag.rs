@@ -15,8 +15,6 @@ pub enum RuleId {
     Nd02,
     /// Mutable global state in simulation crates.
     Nd03,
-    /// `PayloadPool` acquires without a recycle in the same module.
-    Rh01,
     /// Truncating `as` casts on wire encode/decode paths.
     Wr01,
     /// Stale allowlist entries or malformed suppression markers.
@@ -24,11 +22,10 @@ pub enum RuleId {
 }
 
 /// Every registered rule, in report order.
-pub const ALL_RULES: [RuleId; 6] = [
+pub const ALL_RULES: [RuleId; 5] = [
     RuleId::Nd01,
     RuleId::Nd02,
     RuleId::Nd03,
-    RuleId::Rh01,
     RuleId::Wr01,
     RuleId::Al01,
 ];
@@ -40,7 +37,6 @@ impl RuleId {
             RuleId::Nd01 => "ND01",
             RuleId::Nd02 => "ND02",
             RuleId::Nd03 => "ND03",
-            RuleId::Rh01 => "RH01",
             RuleId::Wr01 => "WR01",
             RuleId::Al01 => "AL01",
         }
@@ -60,10 +56,6 @@ impl RuleId {
             RuleId::Nd03 => {
                 "no static mut or interior-mutable globals in sim-result crates: \
                  cross-run state breaks replayability"
-            }
-            RuleId::Rh01 => {
-                "every PayloadPool acquire (take/take_zeroed/pad_zeroed) needs a pool.put \
-                 in the same file, or an explicit ownership-transfer marker"
             }
             RuleId::Wr01 => {
                 "no truncating `as` casts to u8/u16/u32 (or signed) in wire.rs/idl.rs \

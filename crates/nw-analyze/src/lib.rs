@@ -16,7 +16,6 @@
 //! | ND01 | no `HashMap`/`HashSet` in sim-result crates (`core`, `nw-noc`, `nw-sim`, `nw-dsoc`) |
 //! | ND02 | no wall-clock/entropy sources outside the `nw_bench` timing harness |
 //! | ND03 | no `static mut` / interior-mutable globals in sim-result crates |
-//! | RH01 | every `PayloadPool` acquire is paired with a `pool.put` in the same file |
 //! | WR01 | no truncating `as` casts in `wire.rs`/`idl.rs` encode/decode paths |
 //! | AL01 | allowlist and marker hygiene (stale entries, missing justifications) |
 //!
@@ -26,7 +25,7 @@
 //!
 //! * **Marker comments** next to the site:
 //!   `// nw-analyze: allow(ND03): <reason>` (covers that line and the
-//!   next) or `// nw-analyze: allow-file(RH01): <reason>` (whole file).
+//!   next) or `// nw-analyze: allow-file(ND01): <reason>` (whole file).
 //! * **The allowlist** `nw-analyze.allow` at the workspace root:
 //!   `ND01 crates/nw-noc/tests/prop_delivery.rs — <reason>` lines.
 //!   Entries that stop matching a finding become AL01 findings

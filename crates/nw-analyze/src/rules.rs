@@ -183,47 +183,6 @@ fn nd03(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// RH01: `PayloadPool` acquire-family calls with no recycle in the file.
-fn rh01(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    // The pool's own module defines the API; pairing is meaningless there.
-    if file.path.ends_with("nw-noc/src/pool.rs") {
-        return;
-    }
-    const ACQUIRE: [&str; 3] = [".take_zeroed(", ".pad_zeroed(", "pool.take("];
-    let mut first_acquire: Option<(usize, usize, &str)> = None;
-    let mut acquires = 0usize;
-    let mut releases = 0usize;
-    for (n, line) in file.lines.iter().enumerate() {
-        for token in ACQUIRE {
-            if let Some(col) = line.code.find(token) {
-                acquires += 1;
-                if first_acquire.is_none() {
-                    first_acquire = Some((n, col, token));
-                }
-            }
-        }
-        if line.code.contains("pool.put(") {
-            releases += 1;
-        }
-    }
-    if let Some((n, col, token)) = first_acquire {
-        if releases == 0 {
-            out.push(diag(
-                RuleId::Rh01,
-                file,
-                n,
-                col,
-                format!(
-                    "{acquires} PayloadPool acquire(s) (first: `{token}`) with no \
-                     pool.put in this file: leak-prone unless ownership provably \
-                     transfers (mark with nw-analyze: allow-file(RH01): <where \
-                     buffers are recycled>)"
-                ),
-            ));
-        }
-    }
-}
-
 /// WR01: truncating `as` casts on wire encode/decode paths.
 fn wr01(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if !(file.path.ends_with("wire.rs") || file.path.ends_with("idl.rs")) {
@@ -269,7 +228,6 @@ pub fn scan_file(file: &SourceFile) -> Vec<Diagnostic> {
     nd01(file, &mut out);
     nd02(file, &mut out);
     nd03(file, &mut out);
-    rh01(file, &mut out);
     wr01(file, &mut out);
     out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     out

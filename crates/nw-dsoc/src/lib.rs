@@ -48,4 +48,4 @@ pub mod wire;
 pub use app::{Application, BuildAppError, CallEdge, Domain, MethodDef, MethodId, ObjectDef};
 pub use broker::{Broker, ResolveError};
 pub use idl::{parse_application, ParseIdlError};
-pub use wire::{DecodeError, Message, MessageKind, MessageView};
+pub use wire::{DecodeError, Header, Message, MessageKind, MessageView};

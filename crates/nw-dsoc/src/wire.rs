@@ -22,7 +22,7 @@
 //! the hook the platform's per-invocation latency telemetry hangs off.
 
 use crate::app::MethodId;
-use nw_types::ObjectId;
+use nw_types::{ObjectId, Payload};
 use std::fmt;
 
 /// Message kind discriminator.
@@ -92,6 +92,92 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// [`Message::HEADER_LEN`] as the payload length type.
+const HEADER_LEN_U32: u32 = 16;
+
+/// The fixed 16-byte header, laid out as in the module table.
+fn header_bytes(
+    kind: MessageKind,
+    object: ObjectId,
+    method: MethodId,
+    seq: u32,
+    body_len: u32,
+) -> [u8; Message::HEADER_LEN] {
+    let object = u32::try_from(object.0).expect("object id fits the u32 wire field");
+    let mut h = [0; Message::HEADER_LEN];
+    h[0] = kind.to_byte();
+    h[2..6].copy_from_slice(&object.to_le_bytes());
+    h[6..8].copy_from_slice(&method.0.to_le_bytes());
+    h[8..12].copy_from_slice(&seq.to_le_bytes());
+    h[12..16].copy_from_slice(&body_len.to_le_bytes());
+    h
+}
+
+/// The header fields of a marshalled message.
+///
+/// # Examples
+///
+/// ```
+/// use nw_dsoc::{Header, Message, MessageKind, MethodId};
+/// use nw_types::ObjectId;
+///
+/// let p = Message::zeroed_payload(MessageKind::Invocation, ObjectId(3), MethodId(1), 42, 20);
+/// assert_eq!(p.len(), 36);
+/// let h = Header::decode(&p)?;
+/// assert_eq!((h.object, h.seq, h.body_len), (ObjectId(3), 42, 20));
+/// # Ok::<(), nw_dsoc::DecodeError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Invocation or reply.
+    pub kind: MessageKind,
+    /// Target (for invocations) or originating (for replies) object.
+    pub object: ObjectId,
+    /// Target method.
+    pub method: MethodId,
+    /// Correlation sequence number.
+    pub seq: u32,
+    /// Body length in bytes.
+    pub body_len: usize,
+}
+
+impl Header {
+    /// Decodes the header a payload descriptor carries.
+    ///
+    /// # Errors
+    ///
+    /// See [`DecodeError`] — the same rejections as [`Message::decode`] on
+    /// the payload's full bytes.
+    pub fn decode(payload: &Payload) -> Result<Header, DecodeError> {
+        Header::parse(payload.head(), payload.len() as usize)
+    }
+
+    /// Validates `head`, the first 16 bytes of a `wire_len`-byte message.
+    fn parse(head: &[u8; Message::HEADER_LEN], wire_len: usize) -> Result<Header, DecodeError> {
+        if wire_len < Message::HEADER_LEN {
+            return Err(DecodeError::TooShort { have: wire_len });
+        }
+        let kind = MessageKind::from_byte(head[0]).ok_or(DecodeError::BadKind(head[0]))?;
+        if head[1] != 0 {
+            return Err(DecodeError::BadReserved(head[1]));
+        }
+        let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().expect("fixed slice"));
+        let method = u16::from_le_bytes(head[6..8].try_into().expect("fixed slice"));
+        let declared = word(12) as usize;
+        let actual = wire_len - Message::HEADER_LEN;
+        if declared != actual {
+            return Err(DecodeError::LengthMismatch { declared, actual });
+        }
+        Ok(Header {
+            kind,
+            object: ObjectId(word(2) as usize),
+            method: MethodId(method),
+            seq: word(8),
+            body_len: declared,
+        })
+    }
+}
+
 /// A marshalled DSOC message.
 ///
 /// # Examples
@@ -154,51 +240,42 @@ impl Message {
 
     /// Encodes to bytes.
     pub fn encode(&self) -> Vec<u8> {
+        let body_len = u32::try_from(self.body.len()).expect("body fits the u32 length field");
         let mut out = Vec::with_capacity(self.wire_len());
-        self.encode_into(&mut out);
+        out.extend_from_slice(&header_bytes(
+            self.kind,
+            self.object,
+            self.method,
+            self.seq,
+            body_len,
+        ));
+        out.extend_from_slice(&self.body);
         out
     }
 
-    /// Appends the encoded form to `out` — the allocation-reuse variant of
-    /// [`Message::encode`] for callers holding a recycled payload buffer.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.wire_len());
-        out.push(self.kind.to_byte());
-        out.push(0);
-        let object = u32::try_from(self.object.0).expect("object id fits the u32 wire field");
-        out.extend_from_slice(&object.to_le_bytes());
-        out.extend_from_slice(&self.method.0.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        let body_len = u32::try_from(self.body.len()).expect("body fits the u32 length field");
-        out.extend_from_slice(&body_len.to_le_bytes());
-        out.extend_from_slice(&self.body);
-    }
-
-    /// Appends the encoding of a message whose body is `body_len` zero
-    /// bytes directly to `out`, without materializing the body vector.
+    /// The payload descriptor of a message whose body is `body_len` zero
+    /// bytes: its wire length and header, without materializing the body.
     ///
-    /// Byte-identical to `Message { kind, object, method, seq, body:
-    /// vec![0; body_len] }.encode()` — the runtime's marshalled traffic is
-    /// all zero-bodied (only sizes are simulated), and this is its path
-    /// through the payload arena.
-    pub fn encode_zeroed_into(
+    /// Describes exactly the bytes of `Message { kind, object, method,
+    /// seq, body: vec![0; body_len] }.encode()`: the runtime's marshalled
+    /// traffic is all zero-bodied (only sizes are simulated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wire length does not fit the u32 payload length.
+    pub fn zeroed_payload(
         kind: MessageKind,
         object: ObjectId,
         method: MethodId,
         seq: u32,
-        body_len: usize,
-        out: &mut Vec<u8>,
-    ) {
-        out.reserve(Self::HEADER_LEN + body_len);
-        out.push(kind.to_byte());
-        out.push(0);
-        let object_word = u32::try_from(object.0).expect("object id fits the u32 wire field");
-        out.extend_from_slice(&object_word.to_le_bytes());
-        out.extend_from_slice(&method.0.to_le_bytes());
-        out.extend_from_slice(&seq.to_le_bytes());
-        let body_word = u32::try_from(body_len).expect("body fits the u32 length field");
-        out.extend_from_slice(&body_word.to_le_bytes());
-        out.resize(out.len() + body_len, 0);
+        body_len: u64,
+    ) -> Payload {
+        let body_len = u32::try_from(body_len).expect("body fits the u32 length field");
+        let header = header_bytes(kind, object, method, seq, body_len);
+        let len = body_len
+            .checked_add(HEADER_LEN_U32)
+            .expect("message fits the u32 payload length");
+        Payload::new(len, &header)
     }
 
     /// Decodes from bytes.
@@ -245,30 +322,16 @@ impl<'a> MessageView<'a> {
     ///
     /// See [`DecodeError`] — the same rejections as [`Message::decode`].
     pub fn decode(bytes: &'a [u8]) -> Result<Self, DecodeError> {
-        if bytes.len() < Message::HEADER_LEN {
+        let Some((head, body)) = bytes.split_first_chunk::<{ Message::HEADER_LEN }>() else {
             return Err(DecodeError::TooShort { have: bytes.len() });
-        }
-        let kind = MessageKind::from_byte(bytes[0]).ok_or(DecodeError::BadKind(bytes[0]))?;
-        if bytes[1] != 0 {
-            return Err(DecodeError::BadReserved(bytes[1]));
-        }
-        let object = u32::from_le_bytes(bytes[2..6].try_into().expect("fixed slice"));
-        let method = u16::from_le_bytes(bytes[6..8].try_into().expect("fixed slice"));
-        let seq = u32::from_le_bytes(bytes[8..12].try_into().expect("fixed slice"));
-        let len = u32::from_le_bytes(bytes[12..16].try_into().expect("fixed slice")) as usize;
-        let actual = bytes.len() - Message::HEADER_LEN;
-        if len != actual {
-            return Err(DecodeError::LengthMismatch {
-                declared: len,
-                actual,
-            });
-        }
+        };
+        let h = Header::parse(head, bytes.len())?;
         Ok(MessageView {
-            kind,
-            object: ObjectId(object as usize),
-            method: MethodId(method),
-            seq,
-            body: &bytes[Message::HEADER_LEN..],
+            kind: h.kind,
+            object: h.object,
+            method: h.method,
+            seq: h.seq,
+            body,
         })
     }
 }
@@ -323,23 +386,6 @@ mod tests {
                 actual: 2
             })
         );
-    }
-
-    #[test]
-    fn encode_zeroed_into_matches_encode() {
-        for len in [0usize, 1, 17, 300] {
-            let m = Message::invocation(ObjectId(9), MethodId(3), 77, vec![0u8; len]);
-            let mut out = Vec::new();
-            Message::encode_zeroed_into(
-                MessageKind::Invocation,
-                ObjectId(9),
-                MethodId(3),
-                77,
-                len,
-                &mut out,
-            );
-            assert_eq!(out, m.encode());
-        }
     }
 
     #[test]

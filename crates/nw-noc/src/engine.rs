@@ -20,7 +20,7 @@ use crate::packet::{Packet, PacketId};
 use crate::topology::Topology;
 use nw_obs::{LinkLoad, NocHeatmap, RouterLoad, TraceEvent, TraceSink};
 use nw_sim::{Clocked, Counter, EventQueue, Histogram};
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -216,11 +216,11 @@ pub struct NocCounts {
 /// ```
 /// use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
 /// use nw_sim::Clocked;
-/// use nw_types::{Cycles, NodeId};
+/// use nw_types::{Cycles, NodeId, Payload};
 ///
 /// let topo = Topology::build(TopologyKind::Mesh, 16, 1)?;
 /// let mut noc = Noc::new(topo, NocConfig::default());
-/// noc.try_inject(NodeId(0), NodeId(15), vec![1, 2, 3], 42, Cycles(0)).unwrap();
+/// noc.try_inject(NodeId(0), NodeId(15), Payload::new(3, &[1, 2, 3]), 42, Cycles(0)).unwrap();
 /// let mut now = Cycles(0);
 /// let pkt = loop {
 ///     noc.tick(now);
@@ -228,7 +228,7 @@ pub struct NocCounts {
 ///     now += Cycles(1);
 ///     assert!(now.0 < 1000, "packet should arrive quickly");
 /// };
-/// assert_eq!(pkt.data, vec![1, 2, 3]);
+/// assert_eq!(pkt.payload, Payload::new(3, &[1, 2, 3]));
 /// assert_eq!(pkt.tag, 42);
 /// # Ok::<(), nw_noc::topology::BuildTopologyError>(())
 /// ```
@@ -282,9 +282,6 @@ pub struct Noc {
     /// Permanently dead directed links as `(router, port)` pairs, in
     /// failure order — the live input to route recomputation.
     dead_links: Vec<(usize, usize)>,
-    /// Payload buffers of fault-dropped packets, held for the platform to
-    /// recycle into its payload pool (the engine does not own the pool).
-    dropped_buffers: Vec<Vec<u8>>,
     /// Packets discarded by fault injection (explicit drops plus packets
     /// stranded by disconnection).
     dropped_packets: u64,
@@ -362,7 +359,6 @@ impl Noc {
             ni_ready_count: 0,
             obs: None,
             dead_links: Vec::new(),
-            dropped_buffers: Vec::new(),
             dropped_packets: 0,
             dropped_flits: 0,
             corrupted_packets: 0,
@@ -463,7 +459,7 @@ impl Noc {
         &mut self,
         src: NodeId,
         dst: NodeId,
-        data: Vec<u8>,
+        payload: Payload,
         tag: u64,
         now: Cycles,
     ) -> Result<PacketId, InjectError> {
@@ -485,7 +481,7 @@ impl Noc {
             id,
             src,
             dst,
-            data,
+            payload,
             tag,
             injected_at: now,
         });
@@ -755,33 +751,21 @@ impl Noc {
 
     /// Corrupt the payload of the packet at the head of endpoint `node`'s
     /// NI queue (XOR of the first byte — enough to break any header).
-    /// Returns whether a payload was corrupted.
+    /// Returns whether a payload was corrupted: an empty payload has no
+    /// byte to flip. Two corruptions of the same head cancel out.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn corrupt_next(&mut self, node: usize) -> bool {
-        if let Some(pkt) = self.routers[node].ni_in.front_mut() {
-            if let Some(byte) = pkt.data.first_mut() {
-                *byte ^= 0xA5;
-                self.corrupted_packets += 1;
-                return true;
-            }
+        let hit = self.routers[node]
+            .ni_in
+            .front_mut()
+            .is_some_and(|pkt| pkt.payload.xor_first(0xA5));
+        if hit {
+            self.corrupted_packets += 1;
         }
-        false
-    }
-
-    /// Hand the payload buffers of fault-dropped packets to the caller
-    /// (the platform recycles them into its payload pool; the engine never
-    /// owns the pool).
-    pub fn take_dropped_buffers(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.dropped_buffers)
-    }
-
-    /// Whether dropped-packet buffers are waiting for
-    /// [`take_dropped_buffers`](Self::take_dropped_buffers).
-    pub fn has_dropped_buffers(&self) -> bool {
-        !self.dropped_buffers.is_empty()
+        hit
     }
 
     /// Permanently dead directed links, in failure order.
@@ -804,12 +788,10 @@ impl Noc {
         self.corrupted_packets
     }
 
-    /// Common drop accounting: count the packet and stash its buffer for
-    /// the platform's payload pool.
-    fn drop_packet(&mut self, mut pkt: Packet) {
+    /// Common drop accounting: count the packet and its flits.
+    fn drop_packet(&mut self, pkt: Packet) {
         self.dropped_packets += 1;
         self.dropped_flits += pkt.flits(self.cfg.flit_bytes);
-        self.dropped_buffers.push(std::mem::take(&mut pkt.data));
     }
 
     fn deliver(
@@ -1267,12 +1249,18 @@ mod tests {
     fn single_packet_crosses_mesh() {
         let topo = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(15), vec![9; 24], 7, Cycles(0))
-            .unwrap();
+        noc.try_inject(
+            NodeId(0),
+            NodeId(15),
+            Payload::new(24, &[9; 24]),
+            7,
+            Cycles(0),
+        )
+        .unwrap();
         let (p, _) = run_until_delivered(&mut noc, NodeId(15), 1000);
         assert_eq!(p.src, NodeId(0));
         assert_eq!(p.tag, 7);
-        assert_eq!(p.data, vec![9; 24]);
+        assert_eq!(p.payload, Payload::new(24, &[9; 24]));
         let s = noc.stats();
         assert_eq!(s.injected, 1);
         assert_eq!(s.delivered, 1);
@@ -1283,7 +1271,7 @@ mod tests {
     fn local_delivery_is_fast() {
         let topo = Topology::build(TopologyKind::Ring, 4, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(2), NodeId(2), vec![1], 0, Cycles(0))
+        noc.try_inject(NodeId(2), NodeId(2), Payload::new(1, &[1]), 0, Cycles(0))
             .unwrap();
         let (p, when) = run_until_delivered(&mut noc, NodeId(2), 10);
         assert_eq!(p.dst, NodeId(2));
@@ -1298,11 +1286,11 @@ mod tests {
             Noc::new(topo, NocConfig::default())
         };
         let mut near = mk();
-        near.try_inject(NodeId(0), NodeId(1), vec![0; 8], 0, Cycles(0))
+        near.try_inject(NodeId(0), NodeId(1), Payload::zeroed(8), 0, Cycles(0))
             .unwrap();
         let (_, t_near) = run_until_delivered(&mut near, NodeId(1), 1000);
         let mut far = mk();
-        far.try_inject(NodeId(0), NodeId(8), vec![0; 8], 0, Cycles(0))
+        far.try_inject(NodeId(0), NodeId(8), Payload::zeroed(8), 0, Cycles(0))
             .unwrap();
         let (_, t_far) = run_until_delivered(&mut far, NodeId(8), 1000);
         assert!(t_far > t_near, "far {t_far} should exceed near {t_near}");
@@ -1315,7 +1303,7 @@ mod tests {
             let topo = Topology::build(kind, 8, 1).unwrap();
             let mut noc = Noc::new(topo, NocConfig::default());
             for i in 0..4 {
-                noc.try_inject(NodeId(i), NodeId(i + 4), vec![0; 56], 0, Cycles(0))
+                noc.try_inject(NodeId(i), NodeId(i + 4), Payload::zeroed(56), 0, Cycles(0))
                     .unwrap();
             }
             let mut now = Cycles(0);
@@ -1349,13 +1337,13 @@ mod tests {
         };
         let mut noc = Noc::new(topo, cfg);
         assert!(noc
-            .try_inject(NodeId(0), NodeId(2), vec![], 0, Cycles(0))
+            .try_inject(NodeId(0), NodeId(2), Payload::zeroed(0), 0, Cycles(0))
             .is_ok());
         assert!(noc
-            .try_inject(NodeId(0), NodeId(2), vec![], 1, Cycles(0))
+            .try_inject(NodeId(0), NodeId(2), Payload::zeroed(0), 1, Cycles(0))
             .is_ok());
         assert_eq!(
-            noc.try_inject(NodeId(0), NodeId(2), vec![], 2, Cycles(0)),
+            noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(0), 2, Cycles(0)),
             Err(InjectError::NiFull)
         );
         assert_eq!(noc.counts().refused, 1);
@@ -1367,11 +1355,11 @@ mod tests {
         let topo = Topology::build(TopologyKind::Ring, 4, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
         assert_eq!(
-            noc.try_inject(NodeId(9), NodeId(0), vec![], 0, Cycles(0)),
+            noc.try_inject(NodeId(9), NodeId(0), Payload::zeroed(0), 0, Cycles(0)),
             Err(InjectError::BadSource(NodeId(9)))
         );
         assert_eq!(
-            noc.try_inject(NodeId(0), NodeId(9), vec![], 0, Cycles(0)),
+            noc.try_inject(NodeId(0), NodeId(9), Payload::zeroed(0), 0, Cycles(0)),
             Err(InjectError::BadDestination(NodeId(9)))
         );
     }
@@ -1388,7 +1376,7 @@ mod tests {
             let src = (now.0 % 16) as usize;
             let dst = ((now.0 * 7 + 3) % 16) as usize;
             if noc
-                .try_inject(NodeId(src), NodeId(dst), vec![0; 16], now.0, now)
+                .try_inject(NodeId(src), NodeId(dst), Payload::zeroed(16), now.0, now)
                 .is_ok()
             {
                 sent += 1;
@@ -1426,7 +1414,7 @@ mod tests {
             while now.0 < 500 {
                 let src = ((now.0 * 5) % 16) as usize;
                 let dst = ((now.0 * 11 + 1) % 16) as usize;
-                let _ = noc.try_inject(NodeId(src), NodeId(dst), vec![0; 32], now.0, now);
+                let _ = noc.try_inject(NodeId(src), NodeId(dst), Payload::zeroed(32), now.0, now);
                 noc.tick(now);
                 for e in 0..16 {
                     while noc.eject(NodeId(e)).is_some() {}
@@ -1453,7 +1441,7 @@ mod tests {
         let mut now = Cycles(0);
         while now.0 < 400 {
             let src = ((now.0 * 3) % 16) as usize;
-            let _ = noc.try_inject(NodeId(src), NodeId(5), vec![0; 48], 0, now);
+            let _ = noc.try_inject(NodeId(src), NodeId(5), Payload::zeroed(48), 0, now);
             noc.tick(now);
             for r in &noc.routers {
                 let actual: usize = r.ports.iter().map(|p| p.queue.len()).sum();
@@ -1494,7 +1482,7 @@ mod tests {
         let mut noc = Noc::new(topo, NocConfig::default());
         assert!(!noc.has_work());
         assert_eq!(noc.next_event_cycle(Cycles(0)), None);
-        noc.try_inject(NodeId(0), NodeId(3), vec![0; 16], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(3), Payload::zeroed(16), 0, Cycles(0))
             .unwrap();
         // Queued NI traffic: work due immediately.
         assert!(noc.has_work());
@@ -1523,7 +1511,7 @@ mod tests {
         let deliver_at = |stall: Option<u64>| -> u64 {
             let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
             let mut noc = Noc::new(topo, NocConfig::default());
-            noc.try_inject(NodeId(0), NodeId(2), vec![0; 16], 0, Cycles(0))
+            noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(16), 0, Cycles(0))
                 .unwrap();
             if let Some(until) = stall {
                 let port = noc.topology().next_hop(0, 2).unwrap();
@@ -1540,7 +1528,7 @@ mod tests {
         // Router-wide stalls delay at least as much as a single port.
         let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(2), vec![0; 16], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(16), 0, Cycles(0))
             .unwrap();
         noc.stall_router(0, 80);
         let (_, t) = run_until_delivered(&mut noc, NodeId(2), 10_000);
@@ -1553,8 +1541,14 @@ mod tests {
         // packet is queued on it; the packet must detour and still arrive.
         let topo = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(3), vec![7; 16], 9, Cycles(0))
-            .unwrap();
+        noc.try_inject(
+            NodeId(0),
+            NodeId(3),
+            Payload::new(16, &[7; 16]),
+            9,
+            Cycles(0),
+        )
+        .unwrap();
         // One tick moves the packet from the NI onto the east port queue.
         let east = noc.topology().next_hop(0, 3).unwrap();
         noc.drain_arrivals(Cycles(0), &mut None);
@@ -1565,7 +1559,7 @@ mod tests {
         assert!(noc.routers[0].ports[east].queue.is_empty());
         assert_eq!(noc.dead_links(), &[(0, east)]);
         let (p, _) = run_until_delivered(&mut noc, NodeId(3), 10_000);
-        assert_eq!(p.data, vec![7; 16]);
+        assert_eq!(p.payload, Payload::new(16, &[7; 16]));
         assert_eq!(noc.dropped_packets(), 0);
     }
 
@@ -1575,8 +1569,14 @@ mod tests {
         // strands every remote packet from node 0.
         let topo = Topology::build(TopologyKind::Crossbar, 4, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(2), vec![1; 24], 0, Cycles(0))
-            .unwrap();
+        noc.try_inject(
+            NodeId(0),
+            NodeId(2),
+            Payload::new(24, &[1; 24]),
+            0,
+            Cycles(0),
+        )
+        .unwrap();
         assert!(noc.fail_link(0, 0, Cycles(0)));
         let mut now = Cycles(0);
         while noc.has_work() {
@@ -1586,9 +1586,6 @@ mod tests {
         }
         assert_eq!(noc.dropped_packets(), 1);
         assert!(noc.dropped_flits() > 0);
-        let bufs = noc.take_dropped_buffers();
-        assert_eq!(bufs.len(), 1);
-        assert!(!noc.has_dropped_buffers());
         assert!(noc.is_quiescent());
     }
 
@@ -1597,12 +1594,17 @@ mod tests {
         let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
         assert!(!noc.drop_next(0, Cycles(0)), "nothing to drop yet");
-        noc.try_inject(NodeId(0), NodeId(3), vec![2; 16], 0, Cycles(0))
-            .unwrap();
+        noc.try_inject(
+            NodeId(0),
+            NodeId(3),
+            Payload::new(16, &[2; 16]),
+            0,
+            Cycles(0),
+        )
+        .unwrap();
         // Still in the NI: the NI head is dropped.
         assert!(noc.drop_next(0, Cycles(0)));
         assert_eq!(noc.dropped_packets(), 1);
-        assert_eq!(noc.take_dropped_buffers().len(), 1);
         let mut now = Cycles(0);
         while noc.has_work() {
             noc.tick(now);
@@ -1617,13 +1619,35 @@ mod tests {
         let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
         assert!(!noc.corrupt_next(0));
-        noc.try_inject(NodeId(0), NodeId(3), vec![0x11; 16], 0, Cycles(0))
-            .unwrap();
+        noc.try_inject(
+            NodeId(0),
+            NodeId(3),
+            Payload::new(16, &[0x11; 16]),
+            0,
+            Cycles(0),
+        )
+        .unwrap();
         assert!(noc.corrupt_next(0));
         assert_eq!(noc.corrupted_packets(), 1);
         let (p, _) = run_until_delivered(&mut noc, NodeId(3), 10_000);
-        assert_eq!(p.data[0], 0x11 ^ 0xA5);
-        assert!(p.data[1..].iter().all(|&b| b == 0x11));
+        assert_eq!(p.payload.head()[0], 0x11 ^ 0xA5);
+        assert!(p.payload.head()[1..].iter().all(|&b| b == 0x11));
+    }
+
+    #[test]
+    fn corrupt_next_skips_empty_payloads_and_cancels_in_pairs() {
+        let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
+        let mut noc = Noc::new(topo, NocConfig::default());
+        noc.try_inject(NodeId(0), NodeId(3), Payload::zeroed(0), 0, Cycles(0))
+            .unwrap();
+        assert!(!noc.corrupt_next(0), "an empty payload has no byte to flip");
+        noc.try_inject(NodeId(1), NodeId(3), Payload::zeroed(16), 0, Cycles(0))
+            .unwrap();
+        assert!(noc.corrupt_next(1));
+        assert!(noc.corrupt_next(1));
+        assert_eq!(noc.corrupted_packets(), 2, "both hits count");
+        let head = noc.routers[1].ni_in.front().expect("still queued");
+        assert_eq!(head.payload, Payload::zeroed(16), "two hits cancel out");
     }
 
     #[test]
@@ -1631,8 +1655,14 @@ mod tests {
         let topo = Topology::build(TopologyKind::FatTree, 16, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
         for i in 0..8 {
-            noc.try_inject(NodeId(i), NodeId(15 - i), vec![0; 40], i as u64, Cycles(0))
-                .unwrap();
+            noc.try_inject(
+                NodeId(i),
+                NodeId(15 - i),
+                Payload::zeroed(40),
+                i as u64,
+                Cycles(0),
+            )
+            .unwrap();
         }
         let mut now = Cycles(0);
         let mut got = 0;

@@ -20,13 +20,13 @@
 //! ```
 //! use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
 //! use nw_sim::Clocked;
-//! use nw_types::{Cycles, NodeId};
+//! use nw_types::{Cycles, NodeId, Payload};
 //!
 //! let topo = Topology::build(TopologyKind::FatTree, 16, 1)?;
 //! assert_eq!(topo.hops(0, 15), 4); // leaf → root → leaf
 //!
 //! let mut noc = Noc::new(topo, NocConfig::default());
-//! noc.try_inject(NodeId(0), NodeId(15), b"hello".to_vec(), 0, Cycles(0)).unwrap();
+//! noc.try_inject(NodeId(0), NodeId(15), Payload::new(5, b"hello"), 0, Cycles(0)).unwrap();
 //! for c in 0..100 { noc.tick(Cycles(c)); }
 //! assert_eq!(noc.stats().delivered, 1);
 //! # Ok::<(), nw_noc::topology::BuildTopologyError>(())
@@ -34,14 +34,12 @@
 
 pub mod engine;
 pub mod packet;
-pub mod pool;
 pub mod sweep;
 pub mod topology;
 pub mod traffic;
 
 pub use engine::{InjectError, Noc, NocConfig, NocCounts, NocStats};
 pub use packet::{Packet, PacketId};
-pub use pool::PayloadPool;
 pub use sweep::{run_open_loop, saturation_load, sweep_load, OpenLoopConfig, OpenLoopResult};
 pub use topology::{BuildTopologyError, Topology, TopologyKind};
 pub use traffic::TrafficPattern;

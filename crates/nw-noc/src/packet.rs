@@ -1,6 +1,6 @@
 //! Packets and their on-wire flit accounting.
 
-use nw_types::{Bytes, Cycles, NodeId};
+use nw_types::{Bytes, Cycles, NodeId, Payload};
 
 /// Unique packet identifier assigned at injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -14,9 +14,10 @@ impl std::fmt::Display for PacketId {
 
 /// A packet travelling on the NoC.
 ///
-/// The `data` bytes are carried verbatim (the DSOC runtime puts marshalled
-/// method invocations here); `tag` is an opaque caller cookie for
-/// correlating requests and replies without decoding the payload.
+/// The payload travels as a size plus its leading header bytes (the DSOC
+/// runtime puts marshalled method invocation headers there); `tag` is an
+/// opaque caller cookie for correlating requests and replies without
+/// decoding the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Identifier assigned by the NoC at injection.
@@ -25,8 +26,8 @@ pub struct Packet {
     pub src: NodeId,
     /// Destination endpoint.
     pub dst: NodeId,
-    /// Payload bytes carried end to end.
-    pub data: Vec<u8>,
+    /// Payload carried end to end.
+    pub payload: Payload,
     /// Caller correlation cookie.
     pub tag: u64,
     /// Cycle at which the packet was accepted for injection.
@@ -40,7 +41,7 @@ impl Packet {
 
     /// Size on the wire: payload plus NoC header.
     pub fn wire_bytes(&self) -> Bytes {
-        Bytes(self.data.len() as u64 + Self::HEADER_BYTES)
+        Bytes(u64::from(self.payload.len()) + Self::HEADER_BYTES)
     }
 
     /// Number of flits this packet occupies for a given flit width.
@@ -57,12 +58,12 @@ impl Packet {
 mod tests {
     use super::*;
 
-    fn mk(data_len: usize) -> Packet {
+    fn mk(payload_len: u32) -> Packet {
         Packet {
             id: PacketId(1),
             src: NodeId(0),
             dst: NodeId(1),
-            data: vec![0; data_len],
+            payload: Payload::zeroed(payload_len),
             tag: 0,
             injected_at: Cycles::ZERO,
         }

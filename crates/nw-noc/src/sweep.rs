@@ -10,7 +10,7 @@ use crate::engine::{Noc, NocConfig};
 use crate::topology::{BuildTopologyError, Topology, TopologyKind};
 use crate::traffic::TrafficPattern;
 use nw_sim::{Clocked, Histogram};
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,13 +109,16 @@ pub fn run_open_loop(
     let mut noc = Noc::new(topo, cfg.noc);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
+    let payload = Payload::zeroed(
+        u32::try_from(cfg.payload_bytes).expect("payload size fits the u32 wire length"),
+    );
     // Offered load is stated in flits; convert to a packet generation
     // probability per endpoint per cycle.
     let probe = crate::packet::Packet {
         id: crate::packet::PacketId(0),
         src: NodeId(0),
         dst: NodeId(0),
-        data: vec![0; cfg.payload_bytes],
+        payload,
         tag: 0,
         injected_at: Cycles::ZERO,
     };
@@ -127,9 +130,6 @@ pub fn run_open_loop(
     let mut delivered_flits = 0u64;
     let mut generated_flits = 0u64;
     let mut now = Cycles(0);
-    // Ejected payload buffers feed the next injections instead of the
-    // allocator; contents stay `vec![0; payload_bytes]`-identical.
-    let mut pool = crate::pool::PayloadPool::new();
 
     while now.0 < total {
         if n >= 2 {
@@ -141,19 +141,17 @@ pub fn run_open_loop(
                     let dst = cfg.pattern.pick_dst(NodeId(src), n, &mut rng);
                     // Refused injections are lost offered load — exactly what
                     // saturation means in an open-loop experiment.
-                    let payload = pool.take_zeroed(cfg.payload_bytes);
                     let _ = noc.try_inject(NodeId(src), dst, payload, now.0, now);
                 }
             }
         }
         noc.tick(now);
         for e in 0..n {
-            while let Some(mut p) = noc.eject(NodeId(e)) {
+            while let Some(p) = noc.eject(NodeId(e)) {
                 if now.0 >= cfg.warmup {
                     latency.record(now.saturating_sub(p.injected_at));
                     delivered_flits += p.flits(cfg.noc.flit_bytes);
                 }
-                pool.put(std::mem::take(&mut p.data));
             }
         }
         now += Cycles(1);

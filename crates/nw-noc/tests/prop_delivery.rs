@@ -3,7 +3,7 @@
 
 use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
 use nw_sim::Clocked;
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -31,15 +31,16 @@ proptest! {
     ) {
         let topo = Topology::build(kind, n, 1).expect("valid topology");
         let mut noc = Noc::new(topo, NocConfig::default());
-        let mut expected: HashMap<u64, (NodeId, usize)> = HashMap::new();
+        let mut expected: HashMap<u64, (NodeId, Payload)> = HashMap::new();
         let mut accepted = 0u64;
         let mut now = Cycles(0);
         for (i, &(s, d, len)) in sends.iter().enumerate() {
             let src = NodeId(s % n);
             let dst = NodeId(d % n);
             let tag = i as u64;
-            if noc.try_inject(src, dst, vec![i as u8; len], tag, now).is_ok() {
-                expected.insert(tag, (dst, len));
+            let payload = Payload::new(len as u32, &[i as u8; 48]);
+            if noc.try_inject(src, dst, payload, tag, now).is_ok() {
+                expected.insert(tag, (dst, payload));
                 accepted += 1;
             }
             noc.tick(now);
@@ -51,10 +52,10 @@ proptest! {
             noc.tick(now);
             for e in 0..n {
                 while let Some(p) = noc.eject(NodeId(e)) {
-                    let (dst, len) = expected.remove(&p.tag)
+                    let (dst, payload) = expected.remove(&p.tag)
                         .expect("no duplicate or unknown deliveries");
                     prop_assert_eq!(dst, NodeId(e), "delivered to the right endpoint");
-                    prop_assert_eq!(p.data.len(), len, "payload intact");
+                    prop_assert_eq!(p.payload, payload, "payload intact");
                     got += 1;
                 }
             }
@@ -72,13 +73,13 @@ proptest! {
         kind in kind_strategy(),
         n in 2usize..17,
         link_latency in 1u64..8,
-        payload in 0usize..64,
+        payload in 0u32..64,
     ) {
         let topo = Topology::build(kind, n, link_latency).expect("valid topology");
         let hops = topo.hops(0, n - 1) as u64;
         let cfg = NocConfig::default();
         let mut noc = Noc::new(topo, cfg);
-        noc.try_inject(NodeId(0), NodeId(n - 1), vec![0; payload], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(n - 1), Payload::zeroed(payload), 0, Cycles(0))
             .expect("empty NI accepts");
         let mut now = Cycles(0);
         let p = loop {

@@ -11,7 +11,7 @@
 
 use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
 use nw_sim::Clocked;
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 use proptest::prelude::*;
 
 fn kind_strategy() -> impl Strategy<Value = TopologyKind> {
@@ -38,7 +38,7 @@ struct Delivery {
     cycle: u64,
     endpoint: usize,
     tag: u64,
-    len: usize,
+    len: u32,
 }
 
 fn drain_ejects(noc: &mut Noc, n: usize, now: Cycles, out: &mut Vec<Delivery>) {
@@ -48,7 +48,7 @@ fn drain_ejects(noc: &mut Noc, n: usize, now: Cycles, out: &mut Vec<Delivery>) {
                 cycle: now.0,
                 endpoint: e,
                 tag: p.tag,
-                len: p.data.len(),
+                len: p.payload.len(),
             });
         }
     }
@@ -60,7 +60,7 @@ fn inject_due(noc: &mut Noc, bursts: &[Burst], n: usize, now: Cycles) {
             let _ = noc.try_inject(
                 NodeId(s % n),
                 NodeId(d % n),
-                vec![cycle; len],
+                Payload::new(len as u32, &[cycle; Payload::HEAD_LEN]),
                 (cycle as u64) << 8 | (s as u64),
                 now,
             );

@@ -4,7 +4,7 @@ use crate::class::PeClass;
 use crate::program::{Op, Program};
 use nw_mem::{MemorySpec, MemoryTechnology};
 use nw_sim::{Clocked, Utilization};
-use nw_types::{Cycles, NodeId, Picojoules, ThreadId};
+use nw_types::{Cycles, NodeId, Payload, Picojoules, ThreadId};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -69,16 +69,14 @@ impl PeConfig {
 }
 
 /// A request the PE raises to its owner for servicing over the platform.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeRequest {
     /// Asynchronous message: complete the thread once the NI accepts it.
     Send {
         /// Destination endpoint.
         dst: NodeId,
-        /// Wire payload size.
-        bytes: u64,
-        /// Marshalled payload.
-        data: Vec<u8>,
+        /// Wire payload.
+        payload: Payload,
         /// Opaque NoC tag passed through from the op.
         tag: u64,
     },
@@ -87,12 +85,10 @@ pub enum PeRequest {
     Call {
         /// Destination endpoint.
         dst: NodeId,
-        /// Request payload size.
-        bytes: u64,
+        /// Request payload.
+        payload: Payload,
         /// Expected response size.
         reply_bytes: u64,
-        /// Marshalled payload.
-        data: Vec<u8>,
     },
 }
 
@@ -333,47 +329,24 @@ impl Pe {
 
     /// Crash this PE at `now`: every context dies mid-task, pending
     /// platform requests are discarded, and the PE refuses new work until
-    /// [`Pe::restart`]. Returns every marshalled payload buffer the PE
-    /// owned (unexecuted op payloads plus undrained request payloads) so
-    /// the platform can recycle them into its payload pool — a crashed PE
-    /// must not leak pooled buffers.
+    /// [`Pe::restart`].
     ///
     /// Killed tasks count as neither completed nor retired.
-    pub fn crash(&mut self, now: Cycles) -> Vec<Vec<u8>> {
+    pub fn crash(&mut self, now: Cycles) {
         self.settle_accounting(now);
         self.crashed = true;
         self.swap_remaining = 0;
         self.current = 0;
-        let mut harvested = Vec::new();
-        for (_, req) in std::mem::take(&mut self.requests) {
-            match req {
-                PeRequest::Send { data, .. } | PeRequest::Call { data, .. } => {
-                    harvested.push(data);
-                }
-            }
-        }
+        self.requests.clear();
         let accounted_to = self.accounted_to;
         for t in &mut self.threads {
             t.occ_busy = t.occupied(accounted_to);
             t.state = ThreadState::Idle;
-            let pc = std::mem::take(&mut t.pc);
-            if let Some(prog) = t.program.take() {
-                // Only ops the thread never issued: an executed Send/Call
-                // already moved its payload into the request stream, where
-                // normal wire-side recycling (or the request drain above)
-                // accounts for it — harvesting the program's copy too
-                // would over-return to the pool.
-                for op in prog.into_ops().into_iter().skip(pc) {
-                    match op {
-                        Op::Send { data, .. } | Op::Call { data, .. } => harvested.push(data),
-                        Op::Compute(_) | Op::LocalMem { .. } => {}
-                    }
-                }
-            }
+            t.pc = 0;
+            t.program = None;
         }
         self.n_idle = self.threads.len();
         self.n_live = 0;
-        harvested
     }
 
     /// Restart a crashed PE at `now` with cold, idle contexts. No-op when
@@ -576,10 +549,10 @@ impl Pe {
     /// consumed.
     fn issue(&mut self, i: usize, now: Cycles) -> bool {
         let (op, domain) = {
-            let t = &mut self.threads[i];
-            let prog = t.program.as_mut().expect("ready thread has a program");
-            match prog.take_op(t.pc) {
-                Some(op) => (op, prog.domain()),
+            let t = &self.threads[i];
+            let prog = t.program.as_ref().expect("ready thread has a program");
+            match prog.op(t.pc) {
+                Some(&op) => (op, prog.domain()),
                 None => {
                     // Program exhausted: retire the task.
                     self.retire(i);
@@ -606,38 +579,24 @@ impl Pe {
                 };
                 self.advance_pc(i);
             }
-            Op::Send {
-                dst,
-                bytes,
-                data,
-                tag,
-            } => {
-                self.requests.push_back((
-                    ThreadId(i),
-                    PeRequest::Send {
-                        dst,
-                        bytes,
-                        data,
-                        tag,
-                    },
-                ));
+            Op::Send { dst, payload, tag } => {
+                self.requests
+                    .push_back((ThreadId(i), PeRequest::Send { dst, payload, tag }));
                 self.threads[i].state = ThreadState::AwaitingCompletion;
                 self.n_live -= 1;
                 self.advance_pc(i);
             }
             Op::Call {
                 dst,
-                bytes,
+                payload,
                 reply_bytes,
-                data,
             } => {
                 self.requests.push_back((
                     ThreadId(i),
                     PeRequest::Call {
                         dst,
-                        bytes,
+                        payload,
                         reply_bytes,
-                        data,
                     },
                 ));
                 self.threads[i].state = ThreadState::AwaitingCompletion;
@@ -905,7 +864,10 @@ mod tests {
             .unwrap();
         run(&mut pe, 3);
         let reqs = pe.take_requests();
-        assert!(matches!(reqs[0].1, PeRequest::Send { bytes: 40, .. }));
+        assert!(matches!(
+            reqs[0].1,
+            PeRequest::Send { payload, .. } if payload == Payload::zeroed(40)
+        ));
         pe.complete(tid);
         run(&mut pe, 6);
         assert_eq!(pe.tasks_completed(), 1);
@@ -984,43 +946,28 @@ mod tests {
     }
 
     #[test]
-    fn crash_harvests_buffers_and_kills_threads() {
+    fn crash_discards_requests_and_kills_threads() {
         let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 2));
-        // Thread 0 will be awaiting a call (request drained by the owner);
-        // thread 1 holds an unexecuted send with a payload.
+        // Thread 0 will be awaiting a call; thread 1 holds an unexecuted
+        // send.
         let t0 = pe
-            .spawn(Program::straight_line([Op::Call {
-                dst: NodeId(1),
-                bytes: 8,
-                reply_bytes: 8,
-                data: vec![1, 2, 3],
-            }]))
+            .spawn(Program::straight_line([Op::call(NodeId(1), 8, 8)]))
             .unwrap();
         pe.spawn(Program::straight_line([
             Op::Compute(50),
-            Op::Send {
-                dst: NodeId(2),
-                bytes: 4,
-                data: vec![9, 9],
-                tag: 0,
-            },
+            Op::send(NodeId(2), 4),
         ]))
         .unwrap();
         run(&mut pe, 3);
-        // Leave thread 0's request undrained so crash harvests it too.
+        // Leave thread 0's request undrained: the crash discards it.
         assert!(pe.has_requests());
         assert!(pe.is_awaiting(t0));
-        let harvested = pe.crash(Cycles(3));
+        pe.crash(Cycles(3));
         assert!(pe.is_crashed());
         assert!(!pe.is_live());
         assert_eq!(pe.idle_threads(), 0);
         assert!(!pe.is_awaiting(t0));
         assert!(!pe.has_requests());
-        // Both payloads recovered: the drained request's and the
-        // unexecuted op's.
-        let mut lens: Vec<usize> = harvested.iter().map(Vec::len).collect();
-        lens.sort_unstable();
-        assert_eq!(lens, vec![2, 3]);
         assert_eq!(
             pe.spawn(Program::straight_line([Op::Compute(1)])),
             Err(SpawnError)

@@ -8,10 +8,10 @@
 //! idle hardware thread per invocation.
 
 use crate::class::KernelDomain;
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 
 /// One micro-op.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Busy-compute for this many GP-RISC-baseline cycles (scaled by the
     /// executing PE's class speedup for the program's domain).
@@ -29,10 +29,8 @@ pub enum Op {
     Send {
         /// Destination endpoint.
         dst: NodeId,
-        /// Payload size on the wire.
-        bytes: u64,
-        /// Marshalled payload carried verbatim (may be empty).
-        data: Vec<u8>,
+        /// Payload on the wire (a marshalled message, or zeros).
+        payload: Payload,
         /// Opaque NoC tag (the DSOC runtime uses it to flag replies).
         tag: u64,
     },
@@ -42,35 +40,43 @@ pub enum Op {
     Call {
         /// Destination endpoint.
         dst: NodeId,
-        /// Request payload size on the wire.
-        bytes: u64,
+        /// Request payload on the wire (a marshalled message, or zeros).
+        payload: Payload,
         /// Expected response size.
         reply_bytes: u64,
-        /// Marshalled request payload (may be empty).
-        data: Vec<u8>,
     },
 }
 
 impl Op {
-    /// Shorthand for a send with no marshalled payload.
+    /// Shorthand for a send of `bytes` zero bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds the u32 payload length.
     pub fn send(dst: NodeId, bytes: u64) -> Op {
         Op::Send {
             dst,
-            bytes,
-            data: Vec::new(),
+            payload: zeroed(bytes),
             tag: 0,
         }
     }
 
-    /// Shorthand for a call with no marshalled payload.
+    /// Shorthand for a call with a request of `bytes` zero bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds the u32 payload length.
     pub fn call(dst: NodeId, bytes: u64, reply_bytes: u64) -> Op {
         Op::Call {
             dst,
-            bytes,
+            payload: zeroed(bytes),
             reply_bytes,
-            data: Vec::new(),
         }
     }
+}
+
+fn zeroed(bytes: u64) -> Payload {
+    Payload::zeroed(u32::try_from(bytes).expect("payload size fits the u32 wire length"))
 }
 
 /// A straight-line micro-op program with a kernel domain annotation.
@@ -113,34 +119,9 @@ impl Program {
         &self.ops
     }
 
-    /// Consumes the program, yielding its ops — the fault layer harvests
-    /// marshalled payload buffers from unexecuted ops when a PE crashes,
-    /// so pooled buffers are recycled instead of leaked.
-    pub fn into_ops(self) -> Vec<Op> {
-        self.ops
-    }
-
     /// Op at `pc`, if within the program.
     pub fn op(&self, pc: usize) -> Option<&Op> {
         self.ops.get(pc)
-    }
-
-    /// The op at `pc` for issue, with its marshalled payload moved out
-    /// (an empty buffer stays behind). Each pc issues once, and a crash
-    /// harvests only ops at or after the pc, so the emptied op is never
-    /// read again.
-    pub(crate) fn take_op(&mut self, pc: usize) -> Option<Op> {
-        let op = self.ops.get_mut(pc)?;
-        let payload = match op {
-            Op::Send { data, .. } | Op::Call { data, .. } => std::mem::take(data),
-            Op::Compute(_) | Op::LocalMem { .. } => Vec::new(),
-        };
-        // With the payload gone, the clone copies only scalars.
-        let mut taken = op.clone();
-        if let Op::Send { data, .. } | Op::Call { data, .. } = &mut taken {
-            *data = payload;
-        }
-        Some(taken)
     }
 
     /// Number of ops.
@@ -211,19 +192,22 @@ mod tests {
     }
 
     #[test]
-    fn op_shorthands_have_empty_data() {
-        match Op::send(NodeId(1), 8) {
-            Op::Send { data, .. } => assert!(data.is_empty()),
-            _ => unreachable!(),
-        }
-        match Op::call(NodeId(1), 8, 16) {
-            Op::Call {
-                data, reply_bytes, ..
-            } => {
-                assert!(data.is_empty());
-                assert_eq!(reply_bytes, 16);
+    fn op_shorthands_carry_zeroed_payloads() {
+        assert_eq!(
+            Op::send(NodeId(1), 8),
+            Op::Send {
+                dst: NodeId(1),
+                payload: Payload::zeroed(8),
+                tag: 0,
             }
-            _ => unreachable!(),
-        }
+        );
+        assert_eq!(
+            Op::call(NodeId(1), 8, 16),
+            Op::Call {
+                dst: NodeId(1),
+                payload: Payload::zeroed(8),
+                reply_bytes: 16,
+            }
+        );
     }
 }

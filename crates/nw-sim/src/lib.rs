@@ -41,7 +41,6 @@ pub mod event;
 pub mod parallel;
 pub mod pipeline;
 pub mod stats;
-pub mod trace;
 
 pub use event::EventQueue;
 pub use parallel::{parallel_map, parallel_map_with, set_sweep_threads, sweep_threads};
@@ -50,7 +49,6 @@ pub use stats::{
     summarize_replicas, Counter, Histogram, LatencyHistogram, OnlineMean, ReplicaSummary,
     Utilization,
 };
-pub use trace::{SignalId, Tracer};
 
 use nw_types::Cycles;
 

@@ -3,8 +3,9 @@
 //! Every other crate in the workspace builds on the newtypes defined here:
 //! identifiers for platform resources ([`NodeId`], [`PeId`], [`ThreadId`]),
 //! simulated time ([`Cycles`]), physical quantities ([`Bytes`],
-//! [`Picojoules`], [`AreaMm2`], [`BitsPerSec`]) and the semiconductor
-//! technology ladder ([`TechNode`]) the paper's scaling arguments run over.
+//! [`Picojoules`], [`AreaMm2`], [`BitsPerSec`]), packet [`Payload`]
+//! descriptors and the semiconductor technology ladder ([`TechNode`]) the
+//! paper's scaling arguments run over.
 //!
 //! Newtypes are used instead of bare integers so that, for example, a NoC
 //! node index can never be confused with a hardware-thread index — exactly
@@ -22,11 +23,13 @@
 //! ```
 
 pub mod ids;
+pub mod payload;
 pub mod tech;
 pub mod time;
 pub mod units;
 
 pub use ids::{LinkId, NodeId, ObjectId, PeId, PortId, TaskId, ThreadId};
+pub use payload::Payload;
 pub use tech::TechNode;
 pub use time::Cycles;
 pub use units::{AreaMm2, BitsPerSec, Bytes, Dollars, Picojoules};

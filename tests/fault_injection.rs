@@ -66,12 +66,12 @@ fn faulted_runs_repeat_bit_identically_per_seed() {
 }
 
 #[test]
-fn pe_crashes_do_not_leak_pooled_buffers() {
-    // The crash path's resource-hygiene half: killing a PE mid-call
-    // harvests its owned buffers, cancels its retry entries (recycling the
-    // stored payload clones), and the dispatch queue backs up gracefully.
-    // On a finite no-I/O rig the platform still quiesces with a balanced
-    // pool ledger, under both schedulers, and the two runs stay identical.
+fn pe_crashes_keep_the_packet_ledger_balanced() {
+    // The crash path's conservation half: killing a PE mid-call discards
+    // its requests, cancels its retry entries, and the dispatch queue
+    // backs up gracefully. On a finite no-I/O rig the platform still
+    // quiesces with a balanced packet ledger, under both schedulers, and
+    // the two runs stay identical.
     use nanowall::prelude::*;
     use nanowall::MemoryBlockConfig;
 
@@ -111,11 +111,15 @@ fn pe_crashes_do_not_leak_pooled_buffers() {
         for _ in 0..WINDOW {
             platform.step();
         }
+        let noc = platform.noc();
+        let counts = noc.counts();
         assert_eq!(
-            platform.payload_outstanding(),
-            0,
-            "{mode:?}: crash path leaked payload buffers"
+            counts.injected,
+            counts.delivered + noc.dropped_packets(),
+            "{mode:?}: crash path lost packets"
         );
+        assert!(noc.is_quiescent(), "{mode:?}: NoC not quiescent");
+        assert_eq!(platform.pending_retries(), 0, "{mode:?}: retries pending");
         platform.report(Cycles(WINDOW))
     };
 

@@ -40,11 +40,11 @@ fn build_rig(mode: SchedulerMode) -> FppaPlatform {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Quiescence conservation under arbitrary seeded campaigns: the pool
+    /// Quiescence conservation under arbitrary seeded campaigns: the packet
     /// ledger balances and the batch retires (give-ups release threads even
     /// when the callee never answers), under both schedulers.
     #[test]
-    fn any_campaign_conserves_buffers_at_quiescence(
+    fn any_campaign_conserves_packets_at_quiescence(
         seed in 0u64..10_000,
         level_tenths in 0u32..40,
         timeout in 200u64..4_000,
@@ -68,12 +68,15 @@ proptest! {
             platform.step();
         }
         platform.settle();
+        let noc = platform.noc();
+        let counts = noc.counts();
         prop_assert_eq!(
-            platform.payload_outstanding(),
-            0,
-            "seed {} level {} under {:?}: pool ledger out of balance",
+            counts.injected,
+            counts.delivered + noc.dropped_packets(),
+            "seed {} level {} under {:?}: packet ledger out of balance",
             seed, level_tenths, mode
         );
+        prop_assert!(noc.is_quiescent(), "seed {} under {:?}: NoC not quiescent", seed, mode);
         prop_assert_eq!(
             platform.pending_retries(),
             0,

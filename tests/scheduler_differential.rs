@@ -91,18 +91,17 @@ fn large_idle_span_is_identical_and_fast_forwarded() {
 }
 
 #[test]
-fn payload_pool_conserves_buffers_at_quiescence() {
-    // Resource-hygiene half of the determinism contract (the static half is
-    // nw-analyze rule RH01): every payload buffer the pool hands out —
-    // request payloads padded at send, service replies — must come back
-    // when its packet is consumed. Build a platform with no I/O channels so
-    // a finite batch of tasks drives it fully quiescent, then check the
-    // take/put ledger balances exactly, under both schedulers.
+fn packet_ledger_balances_at_quiescence() {
+    // Conservation half of the determinism contract: every packet the NoC
+    // accepts — requests, service replies — is delivered or dropped. Build
+    // a platform with no I/O channels so a finite batch of tasks drives it
+    // fully quiescent, then check the packet ledger balances exactly,
+    // under both schedulers.
     use nanowall::prelude::*;
     use nanowall::MemoryBlockConfig;
 
     let run_mode = |mode: SchedulerMode| {
-        let mut cfg = FppaConfig::new("pool-conservation", TopologyKind::Mesh);
+        let mut cfg = FppaConfig::new("packet-conservation", TopologyKind::Mesh);
         for _ in 0..4 {
             cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
         }
@@ -135,11 +134,16 @@ fn payload_pool_conserves_buffers_at_quiescence() {
                 "active-set rig still holds work after the batch window"
             );
         }
+        let noc = platform.noc();
+        let counts = noc.counts();
+        assert!(counts.injected > 0, "{mode:?}: the batch sent nothing");
         assert_eq!(
-            platform.payload_outstanding(),
-            0,
-            "{mode:?}: payload buffers leaked (taken != returned at quiescence)"
+            counts.injected,
+            counts.delivered + noc.dropped_packets(),
+            "{mode:?}: packets unaccounted for at quiescence"
         );
+        assert!(noc.is_quiescent(), "{mode:?}: NoC not quiescent");
+        assert_eq!(platform.pending_retries(), 0);
         let report = platform.report(Cycles(WINDOW));
         assert_eq!(report.tasks_completed, 8, "{mode:?}: one task per thread");
         report
@@ -252,7 +256,7 @@ fn warmed_forks_anchor_to_the_original_seed_and_diverge_on_new_ones() {
             "{mode:?}: distinct seeds produced one timeline"
         );
 
-        // No state sharing through the PayloadPool or handler-plan cache:
+        // No state sharing through the handler-plan cache:
         // running the forks left the parent untouched, so its own
         // continuation still matches the reference.
         let parent_tail = parent.run(MEASURE);
